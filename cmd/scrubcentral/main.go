@@ -119,7 +119,7 @@ func main() {
 		reg = obs.NewRegistry()
 	}
 	copt := central.Options{Metrics: reg}
-	var engine central.Executor = central.NewEngineWith(copt)
+	var engine central.Executor
 	var coordEng *coord.Coordinator
 	switch {
 	case *coordMode:
@@ -150,6 +150,8 @@ func main() {
 			log.Fatalf("scrubcentral: %v", err)
 		}
 		engine = se
+	default:
+		engine = central.NewEngineWith(copt)
 	}
 	srv, err := server.New(server.Config{
 		Catalog:    catalog,

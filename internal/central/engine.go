@@ -119,32 +119,9 @@ func NewEngineWith(opt Options) *Engine {
 }
 
 type queryState struct {
-	plan Plan
-	comp *compiled
-	win  *window.SlidingManager[*winState]
-	emit EmitFunc
-
-	// streams holds per-(host, type) stream leases, last-known counters,
-	// and max event times. The query watermark is the minimum across
-	// *live* streams: hosts whose shipping (or simulated clock) lags
-	// never see their tuples declared late by a faster peer, while a
-	// crashed or partitioned host is evicted on lease expiry instead of
-	// freezing window emission forever.
-	streams  *liveness.Table
-	stats    transport.QueryStats
-	tuplesC  *obs.Counter // per-query ingest counter; nil without a registry
-	overflow uint64       // raw-row + join-pending drops
-	// Replay hold (Plan.Replay > 0): while open, no window closes at all —
-	// neither watermark-driven nor wall-clock-forced — because replayed
-	// history with old event times may still be in flight, and a window
-	// that closes early would count that history as late instead of
-	// folding it in. The hold releases when every stream that announced
-	// replay has sent its ReplayDone marker (liveness.ReplaySettled) or at
-	// replayDeadline — lease-clock, 2× the lease TTL past query start —
-	// whichever comes first; the deadline bounds the damage of a dropped
-	// done marker or of a query no recording host serves.
-	replayHold     bool
-	replayDeadline int64
+	queryFront
+	win      *window.SlidingManager[*winState]
+	overflow uint64 // raw-row + join-pending drops
 	// scratchKey is the reused group-key buffer for accumulate (engine
 	// lock held throughout a batch, so one buffer per query suffices);
 	// only a tuple that opens a new group copies it.
@@ -158,6 +135,15 @@ type group struct {
 
 type joinCell struct {
 	sides [2][]transport.Tuple
+}
+
+func newWinState() *winState {
+	return &winState{
+		hosts:   make(map[string]struct{}),
+		groups:  make(map[string]*group),
+		pending: make(map[uint64]*joinCell),
+		perHost: make(map[string][]stats.Running),
+	}
 }
 
 type winState struct {
@@ -178,25 +164,12 @@ func (e *Engine) StartQuery(p Plan, emit EmitFunc) error {
 	if emit == nil {
 		return fmt.Errorf("central: nil emit")
 	}
-	if err := p.fillDefaults(); err != nil {
-		return err
-	}
-	comp, err := compile(&p)
+	comp, err := p.prepare()
 	if err != nil {
-		return fmt.Errorf("central: compile plan: %w", err)
-	}
-	// Validate aggregator specs up front so a bad plan fails at start,
-	// not at the first tuple.
-	if _, err := p.newAggSet(); err != nil {
 		return err
 	}
 	win, err := window.NewSlidingManager(p.Window, p.Slide, p.Lateness, func(start, end int64) *winState {
-		return &winState{
-			hosts:   make(map[string]struct{}),
-			groups:  make(map[string]*group),
-			pending: make(map[uint64]*joinCell),
-			perHost: make(map[string][]stats.Running),
-		}
+		return newWinState()
 	})
 	if err != nil {
 		return err
@@ -206,31 +179,25 @@ func (e *Engine) StartQuery(p Plan, emit EmitFunc) error {
 	if _, dup := e.queries[p.QueryID]; dup {
 		return fmt.Errorf("central: query %d already active", p.QueryID)
 	}
-	qs := &queryState{
-		plan:    p,
-		comp:    comp,
-		win:     win,
-		emit:    emit,
-		streams: liveness.NewTable(e.opt.LeaseTTL),
-		tuplesC: e.met.queryTuples(p.QueryID),
-	}
-	if p.Replay > 0 {
-		qs.replayHold = true
-		qs.replayDeadline = e.opt.Clock().UnixNano() + 2*int64(e.opt.LeaseTTL)
-	}
-	e.queries[p.QueryID] = qs
+	e.queries[p.QueryID] = &queryState{queryFront: newQueryFront(p, comp, emit, &e.opt, e.met), win: win}
 	return nil
 }
 
-// replayHolding reports whether a query's replay hold is still open at
-// leaseNow, releasing it when replay has settled or the deadline passed.
-// One function shared by both executors so their close decisions stay
-// bit-identical.
-func replayHolding(hold *bool, deadline int64, streams *liveness.Table, leaseNow int64) bool {
-	if *hold && (streams.ReplaySettled() || leaseNow >= deadline) {
-		*hold = false
+// prepare fills a plan's defaults and compiles it. Aggregator specs are
+// validated up front so a bad plan fails at start, not at the first
+// tuple.
+func (p *Plan) prepare() (*compiled, error) {
+	if err := p.fillDefaults(); err != nil {
+		return nil, err
 	}
-	return *hold
+	comp, err := compile(p)
+	if err != nil {
+		return nil, fmt.Errorf("central: compile plan: %w", err)
+	}
+	if _, err := p.newAggSet(); err != nil {
+		return nil, err
+	}
+	return comp, nil
 }
 
 // ActiveQueries returns the installed query ids.
@@ -247,43 +214,45 @@ func (e *Engine) ActiveQueries() []uint64 {
 
 // HandleBatch folds a host's tuple batch into the query's window state.
 // Batches for unknown queries are dropped silently (they race with query
-// teardown by design). Every batch — counter-only heartbeats included —
-// renews the stream's liveness lease; a batch from an evicted stream
-// re-admits it, and any of its tuples whose windows closed in the
+// teardown by design). Every batch renews the stream's liveness lease
+// (queryFront.observe); any of its tuples whose windows closed in the
 // meantime are counted as late against that stream, never applied to
 // closed results.
 func (e *Engine) HandleBatch(b transport.TupleBatch) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	qs, ok := e.queries[b.QueryID]
-	if !ok {
+	if !ok || int(b.TypeIdx) >= len(qs.plan.Types) {
 		return
 	}
-	if int(b.TypeIdx) >= len(qs.plan.Types) {
-		return
-	}
-	key := liveness.Key{Host: b.HostID, TypeIdx: b.TypeIdx}
+	ack := e.applyLocked(qs, b)
+	man := manifestOf(b)
+	man.HasTs, man.MaxTs, man.LateDelta = ack.HasTs, ack.MaxTs, ack.LateDelta
 	nowN := e.opt.Clock().UnixNano()
-	st, _ := qs.streams.Touch(key, nowN)
-	// Counters are cumulative; max() keeps a delayed or duplicated batch
-	// (chaos, retransmits) from regressing them.
-	st.Matched = max(st.Matched, b.MatchedTotal)
-	st.Sampled = max(st.Sampled, b.SampledTotal)
-	st.Drops = max(st.Drops, b.QueueDrops)
-	st.FoldGovernor(b.EffRate, b.BudgetShed, b.CPUNs, b.ShipBytes)
-	qs.streams.FoldReplay(st, b.ReplayEpoch, b.ReplayDone)
-	if e.met != nil {
-		e.met.batches.Inc()
-		e.met.tuples.Add(uint64(len(b.Tuples)))
+	qs.observe(&man, nowN, e.met)
+	// A batch that releases the replay hold (its ReplayDone marker
+	// settled the last replaying stream) closes windows even when it
+	// carried no tuples of its own.
+	holding, released := qs.holding(nowN)
+	if !holding && (ack.HasTs || released) {
+		if wm, ok := qs.streams.Watermark(); ok {
+			if e.met != nil {
+				e.met.wmLag.Set(nowN - wm)
+			}
+			for _, closed := range qs.win.Observe(wm) {
+				e.emitWindow(qs, closed)
+			}
+		}
 	}
-	if qs.tuplesC != nil {
-		qs.tuplesC.Add(uint64(len(b.Tuples)))
-	}
+}
 
+// applyLocked runs a batch's tuples through the span filter, window
+// routing, join and accumulation, and reports what it observed: the max
+// in-span event time and the query's late and overflow drop counters.
+func (e *Engine) applyLocked(qs *queryState, b transport.TupleBatch) transport.ShardBatchAck {
 	lateBefore := qs.win.LateDrops()
 	dataStart := qs.plan.DataStartNanos()
-	var maxTs int64
-	hasTs := false
+	ack := transport.ShardBatchAck{Known: true}
 	for i := range b.Tuples {
 		t := &b.Tuples[i]
 		if dataStart != 0 && t.TsNanos < dataStart {
@@ -295,31 +264,16 @@ func (e *Engine) HandleBatch(b transport.TupleBatch) {
 		for _, ws := range qs.win.GetAll(t.TsNanos) {
 			e.processTuple(qs, ws, b.HostID, b.TypeIdx, t)
 		}
-		if !hasTs || t.TsNanos > maxTs {
-			maxTs = t.TsNanos
-			hasTs = true
+		if !ack.HasTs || t.TsNanos > ack.MaxTs {
+			//scrub:allowretain(scalar int64 copy; no pooled memory escapes)
+			ack.MaxTs = t.TsNanos
+			ack.HasTs = true
 		}
 	}
-	st.LateDrops += qs.win.LateDrops() - lateBefore
-	if hasTs {
-		st.ObserveTs(maxTs)
-	}
-	// A batch that releases the replay hold (its ReplayDone marker
-	// settled the last replaying stream) closes windows even when it
-	// carried no tuples of its own.
-	wasHolding := qs.replayHold
-	holding := replayHolding(&qs.replayHold, qs.replayDeadline, qs.streams, nowN)
-	released := wasHolding && !holding
-	if !holding && (hasTs || released) {
-		if wm, ok := qs.streams.Watermark(); ok {
-			if e.met != nil {
-				e.met.wmLag.Set(nowN - wm)
-			}
-			for _, closed := range qs.win.Observe(wm) {
-				e.emitWindow(qs, closed)
-			}
-		}
-	}
+	ack.LateDelta = qs.win.LateDrops() - lateBefore
+	ack.Late = qs.win.LateDrops()
+	ack.Overflow = qs.overflow
+	return ack
 }
 
 // processTuple routes one in-window tuple through join (if any), the
@@ -447,7 +401,7 @@ func (e *Engine) accumulate(qs *queryState, ws *winState, row expr.Row, host str
 // renderWindow turns a closed window's accumulated state into result
 // rows: group ordering, aggregate rendering with Horvitz-Thompson
 // scale-up, HAVING, error bounds, ORDER BY and LIMIT. Shared by the
-// single-node engine and the sharded merger.
+// single-node engine and the Merger.
 //
 // rates, when non-nil, maps hosts to governor-degraded effective
 // event-sampling rates (liveness.Table.RatesByHost): the window is then
@@ -522,46 +476,17 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 	return rw
 }
 
-// emitWindow renders a closed window into a ResultWindow and hands it to
-// the query's emit callback. A window emitted while any stream's lease
-// is expired carries the degraded marker and the full per-stream
-// accounting, so the consumer knows exactly whose data is missing.
+// emitWindow renders a closed window into a ResultWindow and emits it
+// (queryFront.finish).
 func (e *Engine) emitWindow(qs *queryState, closed window.Closed[*winState]) {
 	var t0 time.Time
 	if e.met != nil {
 		t0 = time.Now()
+		e.met.joinPending.Add(-int64(closed.State.pendingCount))
 	}
 	rw := renderWindow(&qs.plan, qs.comp, closed.Start, closed.End, closed.State,
 		qs.streams.RatesByHost(qs.plan.SampleEvents))
-
-	hostDrops := qs.streams.HostDrops()
-	rw.Stats.HostDrops = hostDrops
-	rw.Stats.LateDrops = qs.win.LateDrops() + qs.overflow
-	rw.Degraded = qs.streams.AnyEvicted()
-	rw.BudgetShed = qs.streams.AnyShed()
-	rw.Streams = qs.streams.Snapshot()
-	qs.stats.Windows++
-	qs.stats.Rows += uint64(len(rw.Rows))
-	qs.stats.HostDrops = hostDrops
-	qs.stats.LateDrops = qs.win.LateDrops() + qs.overflow
-	if rw.Degraded {
-		qs.stats.DegradedWindows++
-	}
-	if rw.BudgetShed {
-		qs.stats.ShedWindows++
-	}
-	qs.emit(rw)
-	if e.met != nil {
-		e.met.windows.Inc()
-		if rw.Degraded {
-			e.met.degraded.Inc()
-		}
-		if rw.BudgetShed {
-			e.met.shed.Inc()
-		}
-		e.met.joinPending.Add(-int64(closed.State.pendingCount))
-		e.met.closeNs.Observe(float64(time.Since(t0)))
-	}
+	qs.finish(rw, qs.win.LateDrops()+qs.overflow, false, e.met, t0)
 }
 
 // computeBounds applies the paper's Eq. 1–3 per select column. Only
@@ -664,13 +589,12 @@ func (e *Engine) Tick(nowNanos int64) {
 		// Expire before the hold check: evicting a replaying stream can
 		// settle the replay (a dead host will never send its done marker).
 		evicted := qs.streams.Expire(leaseNow)
-		wasHolding := qs.replayHold
-		if replayHolding(&qs.replayHold, qs.replayDeadline, qs.streams, leaseNow) {
+		holding, released := qs.holding(leaseNow)
+		if holding {
 			// Replayed history may still be in flight: closing a window
 			// now — by watermark or by wall clock — would count it late.
 			continue
 		}
-		released := wasHolding && !qs.replayHold
 		if len(evicted) > 0 || released {
 			if wm, ok := qs.streams.Watermark(); ok {
 				for _, closed := range qs.win.Observe(wm) {
@@ -763,61 +687,6 @@ func compareStrings(a, b string) int {
 	default:
 		return 0
 	}
-}
-
-// --- internal surface for the sharded engine (same package) ---
-
-// startQueryDriven installs a query whose window lifecycle is driven
-// externally: the caller pulls closed windows with forceCloseQuery and
-// stopQueryDriven instead of receiving rendered emissions. Shards of a
-// ShardedEngine run in this mode with effectively unbounded lateness, so
-// no internal path ever closes a window on its own.
-func (e *Engine) startQueryDriven(p Plan) error {
-	return e.StartQuery(p, func(transport.ResultWindow) {
-		// Unreachable by construction (driven queries close only via the
-		// pull methods); tolerate rather than panic if it ever fires.
-	})
-}
-
-// forceCloseQuery closes and returns the query's windows ending at or
-// before bound, without rendering them.
-func (e *Engine) forceCloseQuery(id uint64, bound int64) []window.Closed[*winState] {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	qs, ok := e.queries[id]
-	if !ok {
-		return nil
-	}
-	return qs.win.ForceBefore(bound)
-}
-
-// stopQueryDriven removes a driven query, returning its still-open
-// windows and drop counters.
-func (e *Engine) stopQueryDriven(id uint64) (partials []window.Closed[*winState], lateDrops uint64, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	qs, exists := e.queries[id]
-	if !exists {
-		return nil, 0, false
-	}
-	partials = qs.win.Flush()
-	lateDrops = qs.win.LateDrops() + qs.overflow
-	delete(e.queries, id)
-	return partials, lateDrops, true
-}
-
-// dropsOf reports a query's current window-late and overflow drop
-// counts separately: the sharded merger attributes window-late deltas to
-// the stream that shipped the late tuples (mirroring Engine.HandleBatch)
-// but folds overflow only into the query-level totals.
-func (e *Engine) dropsOf(id uint64) (late, overflow uint64, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	qs, exists := e.queries[id]
-	if !exists {
-		return 0, 0, false
-	}
-	return qs.win.LateDrops(), qs.overflow, true
 }
 
 // mergeWinStates folds src into dst: groups merge through the mergeable

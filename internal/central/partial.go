@@ -4,186 +4,118 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"time"
 
 	"scrub/internal/agg"
 	"scrub/internal/event"
-	"scrub/internal/liveness"
 	"scrub/internal/stats"
 	"scrub/internal/transport"
+	"scrub/internal/window"
 )
 
-// This file is the exported surface a distributed ScrubCentral builds on
-// (internal/coord): shard processes run an Engine in driven mode — windows
-// close only when the coordinator says so — and ship their accumulated
-// window state as serialized partials; the coordinator decodes, merges and
-// renders them with the exact logic ShardedEngine uses in-process, so the
-// three executors stay bit-identical under the differential oracle.
+// This file is Engine's driven surface — the shard side of a sharded
+// ScrubCentral. A driven query never closes a window on its own: the
+// Merger's close barriers pull closed windows out as Partials, by pointer
+// in process (LocalShard) or serialized with EncodePartial and decoded
+// under the query's plan with DecodePartial across processes
+// (internal/coord), so Engine, ShardedEngine and the shard fabric stay
+// bit-identical under the differential oracle.
 
-// EncodedPartial is one driven window's serialized accumulated state.
-type EncodedPartial struct {
-	Start int64
-	End   int64
-	Data  []byte
-}
+// shardLateness effectively disables event-time closing inside shards:
+// the merger is the only component that closes windows, at barriers that
+// cover every shard, so a window it flushes is complete by construction.
+const shardLateness = 365 * 24 * time.Hour
 
-// DrivenAck reports how a driven engine absorbed one sub-batch. The
-// router folds the per-shard acks (OR HasTs, max MaxTs, sum LateDelta)
-// to recover exactly what ShardedEngine.HandleBatch would have observed
-// around its synchronous fan-out.
-type DrivenAck struct {
-	HasTs     bool
-	MaxTs     int64  // max in-span event time in the sub-batch
-	LateDelta uint64 // window-late drops this sub-batch caused
-	Late      uint64 // cumulative window-late drops for the query
-	Overflow  uint64 // cumulative raw-row/join-pending overflow drops
+// Partial is one closed driven window's accumulated state.
+type Partial = window.Closed[*winState]
+
+// Partials is a shard's answer to a collect or drain: the closed windows
+// and the query's cumulative drop counters as of the call. Found is false
+// when the shard does not run the query.
+type Partials struct {
+	Found    bool
+	Windows  []Partial
+	Late     uint64 // cumulative window-late drops
+	Overflow uint64 // cumulative raw-row and join-pending overflow drops
 }
 
 // StartDriven installs a query in driven mode: effectively unbounded
-// lateness, so the engine never closes a window on its own. The shard
-// node of a distributed ScrubCentral runs every query this way.
+// lateness, so the engine never closes a window on its own.
 func (e *Engine) StartDriven(p Plan) error {
 	p.Lateness = shardLateness
-	return e.startQueryDriven(p)
+	return e.StartQuery(p, func(transport.ResultWindow) {
+		// Unreachable by construction (driven queries close only through
+		// CollectDriven and DrainDriven); tolerate rather than panic.
+	})
 }
 
 // ApplyDriven folds a sub-batch into a driven query: the same span
 // filter, window routing and late accounting as HandleBatch, but with the
-// stream-lease and watermark bookkeeping left out — those live at the
-// coordinator, which is the only component that sees whole batches.
-func (e *Engine) ApplyDriven(b transport.TupleBatch) (DrivenAck, bool) {
+// stream-lease, watermark and ingest accounting left out — those live at
+// the Merger, which is the only component that sees whole batches. The
+// ack (Seq aside, which only the wire sets) is what the shard reports;
+// Route folds the per-shard acks (OR HasTs, max MaxTs, sum LateDelta)
+// into the batch's manifest. The second result repeats ack.Known.
+func (e *Engine) ApplyDriven(b transport.TupleBatch) (transport.ShardBatchAck, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	qs, ok := e.queries[b.QueryID]
+	if !ok || int(b.TypeIdx) >= len(qs.plan.Types) {
+		return transport.ShardBatchAck{}, false
+	}
+	return e.applyLocked(qs, b), true
+}
+
+// CollectDriven closes and returns every driven window ending at or
+// before bound.
+func (e *Engine) CollectDriven(id uint64, bound int64) Partials {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	qs, ok := e.queries[id]
 	if !ok {
-		return DrivenAck{}, false
+		return Partials{}
 	}
-	if int(b.TypeIdx) >= len(qs.plan.Types) {
-		return DrivenAck{}, false
-	}
-	if e.met != nil {
-		e.met.batches.Inc()
-		e.met.tuples.Add(uint64(len(b.Tuples)))
-	}
-	if qs.tuplesC != nil {
-		qs.tuplesC.Add(uint64(len(b.Tuples)))
-	}
-	lateBefore := qs.win.LateDrops()
-	dataStart := qs.plan.DataStartNanos()
-	var ack DrivenAck
-	for i := range b.Tuples {
-		t := &b.Tuples[i]
-		if dataStart != 0 && t.TsNanos < dataStart {
-			continue
-		}
-		if qs.plan.EndNanos != 0 && t.TsNanos >= qs.plan.EndNanos {
-			continue
-		}
-		for _, ws := range qs.win.GetAll(t.TsNanos) {
-			e.processTuple(qs, ws, b.HostID, b.TypeIdx, t)
-		}
-		if !ack.HasTs || t.TsNanos > ack.MaxTs {
-			//scrub:allowretain(scalar int64 copy; no pooled memory escapes)
-			ack.MaxTs = t.TsNanos
-			ack.HasTs = true
-		}
-	}
-	ack.LateDelta = qs.win.LateDrops() - lateBefore
-	ack.Late = qs.win.LateDrops()
-	ack.Overflow = qs.overflow
-	return ack, true
+	return Partials{Found: true, Windows: qs.win.ForceBefore(bound), Late: qs.win.LateDrops(), Overflow: qs.overflow}
 }
 
-// CollectDriven closes every driven window ending at or before bound and
-// returns the serialized partials, plus the query's cumulative drop
-// counters as of the collect.
-func (e *Engine) CollectDriven(id uint64, bound int64) (partials []EncodedPartial, late, overflow uint64, ok bool) {
+// DrainDriven removes a driven query, returning its remaining windows.
+func (e *Engine) DrainDriven(id uint64) Partials {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	qs, exists := e.queries[id]
-	if !exists {
-		return nil, 0, 0, false
+	qs, ok := e.queries[id]
+	if !ok {
+		return Partials{}
 	}
-	for _, closed := range qs.win.ForceBefore(bound) {
-		partials = append(partials, EncodedPartial{
-			Start: closed.Start, End: closed.End,
-			Data: encodePartial(&qs.plan, closed.State),
-		})
-	}
-	return partials, qs.win.LateDrops(), qs.overflow, true
-}
-
-// DrainDriven removes a driven query, returning its remaining windows as
-// serialized partials and its final late+overflow drop total.
-func (e *Engine) DrainDriven(id uint64) (partials []EncodedPartial, lateDrops uint64, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	qs, exists := e.queries[id]
-	if !exists {
-		return nil, 0, false
-	}
-	for _, closed := range qs.win.Flush() {
-		partials = append(partials, EncodedPartial{
-			Start: closed.Start, End: closed.End,
-			Data: encodePartial(&qs.plan, closed.State),
-		})
-	}
-	lateDrops = qs.win.LateDrops() + qs.overflow
 	delete(e.queries, id)
 	e.met.dropQuery(id)
-	return partials, lateDrops, true
+	return Partials{Found: true, Windows: qs.win.Flush(), Late: qs.win.LateDrops(), Overflow: qs.overflow}
 }
 
-// ReplayHolding exposes the engines' shared replay-hold release decision
-// to the distributed coordinator (internal/coord), which mirrors the
-// in-process mergers' close logic and must release holds bit-identically.
-func ReplayHolding(hold *bool, deadline int64, streams *liveness.Table, leaseNow int64) bool {
-	return replayHolding(hold, deadline, streams, leaseNow)
+// LocalShard is the in-process ShardHandle: it drives an Engine directly
+// and hands window state to the Merger by pointer, with no encoding.
+type LocalShard struct{ Engine *Engine }
+
+// Start implements ShardHandle.
+func (s LocalShard) Start(p *Plan) error { return s.Engine.StartDriven(*p) }
+
+// Apply implements ShardHandle.
+func (s LocalShard) Apply(b transport.TupleBatch) (transport.ShardBatchAck, error) {
+	ack, _ := s.Engine.ApplyDriven(b)
+	return ack, nil
 }
 
-// QueryRuntime is the coordinator-side merge/render handle for one query:
-// the compiled plan without any engine state. It decodes shard partials,
-// merges them (mergeable aggregators, bounded raw rows, moment folding),
-// and renders result windows exactly like the in-process executors.
-type QueryRuntime struct {
-	plan Plan
-	comp *compiled
+// Collect implements ShardHandle.
+func (s LocalShard) Collect(p *Plan, bound int64) (Partials, error) {
+	return s.Engine.CollectDriven(p.QueryID, bound), nil
 }
 
-// CompileQuery validates and compiles a plan into a runtime handle.
-func CompileQuery(p Plan) (*QueryRuntime, error) {
-	if err := p.fillDefaults(); err != nil {
-		return nil, err
-	}
-	comp, err := compile(&p)
-	if err != nil {
-		return nil, fmt.Errorf("central: compile plan: %w", err)
-	}
-	if _, err := p.newAggSet(); err != nil {
-		return nil, err
-	}
-	return &QueryRuntime{plan: p, comp: comp}, nil
-}
+// Drain implements ShardHandle.
+func (s LocalShard) Drain(p *Plan) (Partials, error) { return s.Engine.DrainDriven(p.QueryID), nil }
 
-// Plan returns the runtime's post-defaults plan.
-func (qr *QueryRuntime) Plan() *Plan { return &qr.plan }
-
-// PartialWindow is one decoded (or merged) window's accumulated state.
-type PartialWindow struct{ ws *winState }
-
-// Tuples returns how many tuples the partial has absorbed.
-func (pw *PartialWindow) Tuples() uint64 { return pw.ws.tuples }
-
-// Merge folds src into dst, returning the raw rows dropped because the
-// merged window hit MaxRawRows. Merge order must be deterministic
-// (ascending shard index) for bit-identical results.
-func (qr *QueryRuntime) Merge(dst, src *PartialWindow) (dropped uint64) {
-	return mergeWinStates(&qr.plan, dst.ws, src.ws)
-}
-
-// Render turns a merged window into a ResultWindow. The caller fills the
-// deployment-level fields afterwards (drop totals, Degraded, Streams).
-func (qr *QueryRuntime) Render(start int64, pw *PartialWindow, rates map[string]float64) transport.ResultWindow {
-	return renderWindow(&qr.plan, qr.comp, start, start+int64(qr.plan.Window), pw.ws, rates)
+// TuplesIn implements ShardHandle.
+func (s LocalShard) TuplesIn(id uint64) (uint64, bool) {
+	st, ok := s.Engine.Stats(id)
+	return st.TuplesIn, ok
 }
 
 // --- partial window state codec ---
@@ -194,7 +126,9 @@ func (qr *QueryRuntime) Render(start int64, pw *PartialWindow, rates map[string]
 // route by request id, so both sides of a request joined on one shard,
 // and pending tuples are irrelevant once the window closed.
 
-func encodePartial(p *Plan, ws *winState) []byte {
+// EncodePartial serializes a partial for the wire.
+func EncodePartial(w Partial) transport.WindowPartial {
+	ws := w.State
 	dst := binary.AppendUvarint(nil, ws.tuples)
 
 	hosts := make([]string, 0, len(ws.hosts))
@@ -254,34 +188,29 @@ func encodePartial(p *Plan, ws *winState) []byte {
 			dst = moments[i].AppendBinary(dst)
 		}
 	}
-	return dst
+	return transport.WindowPartial{Start: w.Start, End: w.End, Data: dst}
 }
 
-// DecodePartial parses a partial serialized by a shard's CollectDriven /
-// DrainDriven under the same plan.
-func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
-	p := &qr.plan
-	ws := &winState{
-		hosts:   make(map[string]struct{}),
-		groups:  make(map[string]*group),
-		pending: make(map[uint64]*joinCell),
-		perHost: make(map[string][]stats.Running),
-	}
+// DecodePartial parses a partial EncodePartial serialized under the same
+// plan.
+func DecodePartial(p *Plan, wp transport.WindowPartial) (Partial, error) {
+	b := wp.Data
+	ws := newWinState()
 	tuples, n := binary.Uvarint(b)
 	if n <= 0 {
-		return nil, fmt.Errorf("central: decode partial: bad tuple count")
+		return Partial{}, fmt.Errorf("central: decode partial: bad tuple count")
 	}
 	ws.tuples = tuples
 
 	hostCnt, sz := binary.Uvarint(b[n:])
 	if sz <= 0 || hostCnt > uint64(len(b)) {
-		return nil, fmt.Errorf("central: decode partial: bad host count")
+		return Partial{}, fmt.Errorf("central: decode partial: bad host count")
 	}
 	n += sz
 	for i := uint64(0); i < hostCnt; i++ {
 		s, used, err := decodeString(b[n:])
 		if err != nil {
-			return nil, fmt.Errorf("central: decode partial: host: %w", err)
+			return Partial{}, fmt.Errorf("central: decode partial: host: %w", err)
 		}
 		ws.hosts[s] = struct{}{}
 		n += used
@@ -289,20 +218,20 @@ func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
 
 	groupCnt, sz := binary.Uvarint(b[n:])
 	if sz <= 0 || groupCnt > uint64(len(b)) {
-		return nil, fmt.Errorf("central: decode partial: bad group count")
+		return Partial{}, fmt.Errorf("central: decode partial: bad group count")
 	}
 	n += sz
 	for i := uint64(0); i < groupCnt; i++ {
 		kvCnt, sz := binary.Uvarint(b[n:])
 		if sz <= 0 || kvCnt > uint64(len(b)) {
-			return nil, fmt.Errorf("central: decode partial: bad key count")
+			return Partial{}, fmt.Errorf("central: decode partial: bad key count")
 		}
 		n += sz
 		var keyVals []event.Value
 		for j := uint64(0); j < kvCnt; j++ {
 			v, used, err := event.DecodeValue(b[n:])
 			if err != nil {
-				return nil, fmt.Errorf("central: decode partial: key value: %w", err)
+				return Partial{}, fmt.Errorf("central: decode partial: key value: %w", err)
 			}
 			keyVals = append(keyVals, v)
 			n += used
@@ -311,7 +240,7 @@ func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
 		for j := range p.Aggs {
 			a, used, err := agg.DecodeState(p.Aggs[j].Spec, b[n:])
 			if err != nil {
-				return nil, fmt.Errorf("central: decode partial: agg %d: %w", j, err)
+				return Partial{}, fmt.Errorf("central: decode partial: agg %d: %w", j, err)
 			}
 			aggs[j] = a
 			n += used
@@ -321,20 +250,20 @@ func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
 
 	rowCnt, sz := binary.Uvarint(b[n:])
 	if sz <= 0 || rowCnt > uint64(len(b)) {
-		return nil, fmt.Errorf("central: decode partial: bad row count")
+		return Partial{}, fmt.Errorf("central: decode partial: bad row count")
 	}
 	n += sz
 	for i := uint64(0); i < rowCnt; i++ {
 		valCnt, sz := binary.Uvarint(b[n:])
 		if sz <= 0 || valCnt > uint64(len(b)) {
-			return nil, fmt.Errorf("central: decode partial: bad row width")
+			return Partial{}, fmt.Errorf("central: decode partial: bad row width")
 		}
 		n += sz
 		row := make([]event.Value, valCnt)
 		for j := range row {
 			v, used, err := event.DecodeValue(b[n:])
 			if err != nil {
-				return nil, fmt.Errorf("central: decode partial: row value: %w", err)
+				return Partial{}, fmt.Errorf("central: decode partial: row value: %w", err)
 			}
 			row[j] = v
 			n += used
@@ -344,25 +273,25 @@ func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
 
 	mhostCnt, sz := binary.Uvarint(b[n:])
 	if sz <= 0 || mhostCnt > uint64(len(b)) {
-		return nil, fmt.Errorf("central: decode partial: bad moment host count")
+		return Partial{}, fmt.Errorf("central: decode partial: bad moment host count")
 	}
 	n += sz
 	for i := uint64(0); i < mhostCnt; i++ {
 		host, used, err := decodeString(b[n:])
 		if err != nil {
-			return nil, fmt.Errorf("central: decode partial: moment host: %w", err)
+			return Partial{}, fmt.Errorf("central: decode partial: moment host: %w", err)
 		}
 		n += used
 		mCnt, sz := binary.Uvarint(b[n:])
 		if sz <= 0 || mCnt > uint64(len(b)) {
-			return nil, fmt.Errorf("central: decode partial: bad moment count")
+			return Partial{}, fmt.Errorf("central: decode partial: bad moment count")
 		}
 		n += sz
 		moments := make([]stats.Running, mCnt)
 		for j := range moments {
 			r, used, err := stats.DecodeRunning(b[n:])
 			if err != nil {
-				return nil, fmt.Errorf("central: decode partial: moment: %w", err)
+				return Partial{}, fmt.Errorf("central: decode partial: moment: %w", err)
 			}
 			moments[j] = r
 			n += used
@@ -370,9 +299,9 @@ func (qr *QueryRuntime) DecodePartial(b []byte) (*PartialWindow, error) {
 		ws.perHost[host] = moments
 	}
 	if n != len(b) {
-		return nil, fmt.Errorf("central: decode partial: %d trailing bytes", len(b)-n)
+		return Partial{}, fmt.Errorf("central: decode partial: %d trailing bytes", len(b)-n)
 	}
-	return &PartialWindow{ws: ws}, nil
+	return Partial{Start: wp.Start, End: wp.End, State: ws}, nil
 }
 
 func appendString(dst []byte, s string) []byte {

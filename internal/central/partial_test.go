@@ -12,11 +12,35 @@ import (
 	"scrub/internal/transport"
 )
 
+// codecShard is a LocalShard whose partials cross the wire codec, as
+// they do between a shard process and the coordinator.
+type codecShard struct{ LocalShard }
+
+func (s codecShard) Collect(p *Plan, bound int64) (Partials, error) {
+	return roundTrip(p, s.Engine.CollectDriven(p.QueryID, bound))
+}
+
+func (s codecShard) Drain(p *Plan) (Partials, error) {
+	return roundTrip(p, s.Engine.DrainDriven(p.QueryID))
+}
+
+func roundTrip(p *Plan, ps Partials) (Partials, error) {
+	for i, w := range ps.Windows {
+		dw, err := DecodePartial(p, EncodePartial(w))
+		if err != nil {
+			return Partials{}, err
+		}
+		ps.Windows[i] = dw
+	}
+	return ps, nil
+}
+
 // TestPartialCodecMatchesShardedEngine drives identical batches through a
-// ShardedEngine and through the exported driven surface (N driven engines
-// + serialized partials + QueryRuntime merge — the distributed
-// coordinator's data path) and requires the rendered windows to match
-// bit for bit.
+// ShardedEngine, whose shards hand window state to the merger by pointer,
+// and through a Merger whose shards serialize every partial with
+// EncodePartial and decode it with DecodePartial — the shard fabric's
+// data path — and requires every emitted window and the final stats to
+// match bit for bit.
 func TestPartialCodecMatchesShardedEngine(t *testing.T) {
 	queries := []string{
 		`select count(*) from bid`,
@@ -48,105 +72,54 @@ func TestPartialCodecMatchesShardedEngine(t *testing.T) {
 					}
 				}
 				bound := sec(8)
+				p := buildPlan(t, src, 1, 4, 2)
+				p.Lateness = time.Hour
+				run := func(ex Executor) ([]transport.ResultWindow, transport.QueryStats) {
+					c := &collector{}
+					if err := ex.StartQuery(p, c.emit); err != nil {
+						t.Fatal(err)
+					}
+					for _, b := range batches {
+						ex.HandleBatch(transport.CloneBatch(b))
+					}
+					ex.Tick(bound + int64(p.Lateness))
+					st, ok := ex.StopQuery(1)
+					if !ok {
+						t.Fatal("StopQuery: unknown query")
+					}
+					return c.all(), st
+				}
 
-				// Arm 1: in-process ShardedEngine, collect+flush via a
-				// fake wall clock tick at bound+lateness.
 				se, err := NewShardedEngine(shards)
 				if err != nil {
 					t.Fatal(err)
 				}
-				c := &collector{}
-				p := buildPlan(t, src, 1, 4, 2)
-				p.Lateness = time.Hour
-				if err := se.StartQuery(p, c.emit); err != nil {
-					t.Fatal(err)
+				want, wantSt := run(se)
+				codec := &ShardedEngine{Merger: NewMerger(Options{})}
+				for i := 0; i < shards; i++ {
+					codec.shards = append(codec.shards, codecShard{LocalShard{Engine: NewEngine()}})
 				}
-				for _, b := range batches {
-					se.HandleBatch(transport.CloneBatch(b))
-				}
-				se.Tick(bound + int64(p.Lateness))
-				want := c.all()
-
-				// Arm 2: driven engines + partial codec + QueryRuntime.
-				qr, err := CompileQuery(p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				drv := make([]*Engine, shards)
-				for i := range drv {
-					drv[i] = NewEngine()
-					if err := drv[i].StartDriven(p); err != nil {
-						t.Fatal(err)
-					}
-				}
-				for _, b := range batches {
-					sub := make([][]transport.Tuple, shards)
-					for _, tp := range b.Tuples {
-						i := int(tp.RequestID % uint64(shards))
-						sub[i] = append(sub[i], tp)
-					}
-					for i, tuples := range sub {
-						if len(tuples) == 0 {
-							continue
-						}
-						if _, ok := drv[i].ApplyDriven(transport.CloneBatch(transport.TupleBatch{
-							QueryID: 1, HostID: b.HostID, TypeIdx: b.TypeIdx, Tuples: tuples,
-						})); !ok {
-							t.Fatal("ApplyDriven: unknown query")
-						}
-					}
-				}
-				merged := make(map[int64]*PartialWindow)
-				for _, e := range drv {
-					partials, _, _, ok := e.CollectDriven(1, bound)
-					if !ok {
-						t.Fatal("CollectDriven: unknown query")
-					}
-					for _, ep := range partials {
-						pw, err := qr.DecodePartial(ep.Data)
-						if err != nil {
-							t.Fatalf("DecodePartial: %v", err)
-						}
-						if dst, ok := merged[ep.Start]; ok {
-							qr.Merge(dst, pw)
-						} else {
-							merged[ep.Start] = pw
-						}
-					}
-				}
-				var got []transport.ResultWindow
-				var starts []int64
-				for start := range merged {
-					starts = append(starts, start)
-				}
-				for i := range starts {
-					for j := i + 1; j < len(starts); j++ {
-						if starts[j] < starts[i] {
-							starts[i], starts[j] = starts[j], starts[i]
-						}
-					}
-				}
-				for _, start := range starts {
-					got = append(got, qr.Render(start, merged[start], nil))
+				got, gotSt := run(codec)
+				if gotSt != wantSt {
+					t.Fatalf("final stats: encoded %+v vs unencoded %+v", gotSt, wantSt)
 				}
 
 				if len(got) != len(want) {
-					t.Fatalf("window counts: driven %d vs sharded %d", len(got), len(want))
+					t.Fatalf("window counts: encoded %d vs unencoded %d", len(got), len(want))
 				}
 				for i := range want {
 					w, g := want[i], got[i]
-					// The mini-merger fills only what renderWindow fills;
-					// blank the deployment-level fields on the reference.
-					w.Stats.HostDrops, w.Stats.LateDrops = 0, 0
-					w.Degraded, w.BudgetShed, w.Streams = false, false, nil
 					if w.WindowStart != g.WindowStart || w.WindowEnd != g.WindowEnd {
 						t.Fatalf("window %d span: [%d,%d) vs [%d,%d)", i, g.WindowStart, g.WindowEnd, w.WindowStart, w.WindowEnd)
 					}
 					if w.Stats != g.Stats {
 						t.Fatalf("window %d stats: %+v vs %+v", i, g.Stats, w.Stats)
 					}
-					if w.Approx != g.Approx {
-						t.Fatalf("window %d approx: %v vs %v", i, g.Approx, w.Approx)
+					if w.Approx != g.Approx || w.Degraded != g.Degraded || w.BudgetShed != g.BudgetShed {
+						t.Fatalf("window %d flags: %+v vs %+v", i, g, w)
+					}
+					if !reflect.DeepEqual(w.Streams, g.Streams) {
+						t.Fatalf("window %d streams:\n got %+v\nwant %+v", i, g.Streams, w.Streams)
 					}
 					if !reflect.DeepEqual(w.Rows, g.Rows) {
 						t.Fatalf("window %d rows:\n got %v\nwant %v", i, g.Rows, w.Rows)

@@ -1,22 +1,25 @@
 // Package coord runs ScrubCentral as a multi-process shard fabric: a
-// coordinator process owns query registration, shard membership and the
-// merge layer; shard processes run central engines in driven mode (no
-// self-closing windows); and routers — on the host agents, or inside the
-// coordinator for legacy hosts — split every tuple batch across shards by
-// hash(request-id) mod shards, so the request-identifier equi-join stays
-// shard-local exactly as in the in-process ShardedEngine.
+// coordinator process owns query registration and shard membership;
+// shard processes run central engines in driven mode (no self-closing
+// windows); and routers — on the host agents, or inside the coordinator
+// for hosts without a shard map — split every tuple batch across shards
+// by request-id modulo shard count (central.Route), so the
+// request-identifier equi-join stays shard-local.
 //
-// The design transplants ShardedEngine's merge semantics across process
-// boundaries without changing them: shards absorb sub-batches and report
-// what they observed (max in-span event time, late-drop deltas) in
-// synchronous acks; the router folds the acks into a BatchManifest that
-// reaches the coordinator only after every shard has applied its slice;
-// and the coordinator processes manifests with the same stream-lease,
-// watermark, replay-hold and window-close decisions the in-process merger
-// makes per batch. Window state crosses the wire as serialized partials
-// (central.EncodedPartial) merged in ascending shard order, so the
-// differential oracle can hold a 1-process Engine and an N-process
-// topology to bit-identical windows, rows, bounds and stats.
+// The merge is not reimplemented here. The coordinator drives a
+// central.Merger — the same merge core ShardedEngine runs in process —
+// whose shard handles are this package's RPC clients: a client stamps
+// the coordinator's fence on its calls, decodes collected partials with
+// the query's plan, and latches down on any transport error or stale
+// fence, which the merger turns into Degraded windows. Shards acknowledge
+// every sub-batch synchronously with what they observed (max in-span
+// event time, late-drop deltas); the router folds the acks into a
+// BatchManifest that reaches the coordinator only after every shard
+// applied its slice, so a close barrier the manifest triggers sees every
+// tuple. Window state crosses the wire as serialized partials, merged in
+// ascending shard order, so the differential oracle can hold a 1-process
+// Engine and an N-process topology to bit-identical windows, rows,
+// bounds and stats.
 //
 // Membership is epoch-numbered: every join or leave bumps the epoch and
 // pushes a fresh ShardMap to the host agents. A query pins the epoch
@@ -35,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"scrub/internal/central"
 	"scrub/internal/transport"
 )
 
@@ -43,12 +47,18 @@ import (
 // expiry needs failures to surface in bounded time.
 const rpcTimeout = 5 * time.Second
 
-// shardClient is one synchronous RPC channel to a shard process. Requests
-// are serialized per client and matched to responses by sequence number;
-// any transport error or sequence mismatch marks the client down and
-// closes the connection — callers degrade, they never block forever.
+// shardClient is one synchronous RPC channel to a shard process (or, for
+// replication and manifests, to a peer coordinator). Requests are
+// serialized per client and matched to responses by sequence number; any
+// transport error or sequence mismatch marks the client down and closes
+// the connection — callers degrade, they never block forever.
+//
+// It is the RPC implementation of central.ShardHandle.
 type shardClient struct {
 	addr string
+	// fencing points at the owning coordinator's fencing epoch, stamped
+	// on start/collect/stop RPCs; nil (a router's client) means 0.
+	fencing *atomic.Uint64
 
 	mu   sync.Mutex
 	conn *transport.Conn
@@ -125,7 +135,19 @@ func (c *shardClient) seqErr(got transport.Message) error {
 	return fmt.Errorf("coord: shard %s: unexpected response %s", c.addr, transport.Name(got))
 }
 
-func (c *shardClient) start(msg transport.ShardStart) error {
+var _ central.ShardHandle = (*shardClient)(nil)
+
+func (c *shardClient) fenceNow() uint64 {
+	if c.fencing == nil {
+		return 0
+	}
+	return c.fencing.Load()
+}
+
+// Start implements central.ShardHandle. Starts are idempotent shard-side.
+func (c *shardClient) Start(p *central.Plan) error {
+	msg := ShardStartFromPlan(p)
+	msg.Fence = c.fenceNow()
 	resp, seq, err := c.do(func(s uint64) transport.Message { msg.Seq = s; return msg })
 	if err != nil {
 		return err
@@ -140,8 +162,11 @@ func (c *shardClient) start(msg transport.ShardStart) error {
 	return nil
 }
 
-func (c *shardClient) apply(msg transport.ShardSubBatch) (transport.ShardBatchAck, error) {
-	resp, seq, err := c.do(func(s uint64) transport.Message { msg.Seq = s; return msg })
+// Apply implements central.ShardHandle.
+func (c *shardClient) Apply(b transport.TupleBatch) (transport.ShardBatchAck, error) {
+	resp, seq, err := c.do(func(s uint64) transport.Message {
+		return transport.ShardSubBatch{Seq: s, QueryID: b.QueryID, HostID: b.HostID, TypeIdx: b.TypeIdx, Tuples: b.Tuples}
+	})
 	if err != nil {
 		return transport.ShardBatchAck{}, err
 	}
@@ -163,38 +188,57 @@ func (c *shardClient) staleErr() error {
 	return fmt.Errorf("coord: shard %s: stale fencing epoch (deposed)", c.addr)
 }
 
-func (c *shardClient) collect(queryID uint64, bound int64, fence uint64) (transport.ShardPartials, error) {
-	resp, seq, err := c.do(func(s uint64) transport.Message {
-		return transport.ShardCollectReq{Seq: s, Fence: fence, QueryID: queryID, Bound: bound}
+// Collect implements central.ShardHandle.
+func (c *shardClient) Collect(p *central.Plan, bound int64) (central.Partials, error) {
+	fence := c.fenceNow()
+	return c.partials(p, func(s uint64) transport.Message {
+		return transport.ShardCollectReq{Seq: s, Fence: fence, QueryID: p.QueryID, Bound: bound}
 	})
-	if err != nil {
-		return transport.ShardPartials{}, err
-	}
-	sp, ok := resp.(transport.ShardPartials)
-	if !ok || sp.Seq != seq {
-		return transport.ShardPartials{}, c.seqErr(resp)
-	}
-	if sp.Stale {
-		return transport.ShardPartials{}, c.staleErr()
-	}
-	return sp, nil
 }
 
-func (c *shardClient) stop(queryID uint64, fence uint64) (transport.ShardPartials, error) {
-	resp, seq, err := c.do(func(s uint64) transport.Message {
+// Drain implements central.ShardHandle.
+func (c *shardClient) Drain(p *central.Plan) (central.Partials, error) {
+	return c.partials(p, c.stopReq(p.QueryID, c.fenceNow()))
+}
+
+func (c *shardClient) stopReq(queryID, fence uint64) func(uint64) transport.Message {
+	return func(s uint64) transport.Message {
 		return transport.ShardStopReq{Seq: s, Fence: fence, QueryID: queryID}
-	})
+	}
+}
+
+// partials runs a collect or stop RPC and decodes the returned windows
+// with the query's plan. Undecodable state is lost state: the client
+// latches down, so the merger flags the query rather than emit a
+// silently incomplete window.
+func (c *shardClient) partials(p *central.Plan, build func(seq uint64) transport.Message) (central.Partials, error) {
+	resp, seq, err := c.do(build)
 	if err != nil {
-		return transport.ShardPartials{}, err
+		return central.Partials{}, err
 	}
 	sp, ok := resp.(transport.ShardPartials)
 	if !ok || sp.Seq != seq {
-		return transport.ShardPartials{}, c.seqErr(resp)
+		return central.Partials{}, c.seqErr(resp)
 	}
 	if sp.Stale {
-		return transport.ShardPartials{}, c.staleErr()
+		return central.Partials{}, c.staleErr()
 	}
-	return sp, nil
+	out := central.Partials{Found: sp.Found, Late: sp.Late, Overflow: sp.Overflow}
+	for _, wp := range sp.Partials {
+		w, err := central.DecodePartial(p, wp)
+		if err != nil {
+			c.close()
+			return central.Partials{}, err
+		}
+		out.Windows = append(out.Windows, w)
+	}
+	return out, nil
+}
+
+// TuplesIn implements central.ShardHandle.
+func (c *shardClient) TuplesIn(id uint64) (uint64, bool) {
+	sr, err := c.stats(id)
+	return sr.TuplesIn, err == nil && sr.Found
 }
 
 // fence installs the caller's fencing epoch on the shard and returns the

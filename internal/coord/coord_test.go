@@ -339,7 +339,7 @@ func TestRouterFallback(t *testing.T) {
 // allocations, like the other components' hot counters.
 func TestCoordMetricsZeroAlloc(t *testing.T) {
 	reg := obs.NewRegistry()
-	m := newCoordMetrics(reg)
+	m := newCoordMetrics(reg, new(obs.Counter))
 	lag := m.shardLag("shard-0")
 	if allocs := testing.AllocsPerRun(200, func() {
 		m.manifests.Inc()
@@ -354,7 +354,8 @@ func TestCoordMetricsZeroAlloc(t *testing.T) {
 }
 
 // TestMetricsMembershipSeries: shard lag gauges appear on join and vanish
-// on leave.
+// on leave, and the merger's window counters advance as the coordinator
+// emits.
 func TestMetricsMembershipSeries(t *testing.T) {
 	reg := obs.NewRegistry()
 	vc := &vclock{}
@@ -379,6 +380,48 @@ func TestMetricsMembershipSeries(t *testing.T) {
 	if !found("scrub_coord_shards") || !found("scrub_coord_epoch") {
 		t.Fatal("membership gauges not registered")
 	}
+
+	// The merger's window series are live under a coordinator: one
+	// emitted window advances scrub_central_windows_total.
+	windows := func() float64 {
+		for _, s := range reg.Snapshot() {
+			if s.Name == "scrub_central_windows_total" {
+				return s.Value
+			}
+		}
+		t.Fatal("scrub_central_windows_total not registered")
+		return 0
+	}
+	const src = `select count(*) from ev window 10s`
+	q, err := ql.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qp, err := ql.Analyze(q, testCatalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := central.FromPlan(qp, 1, 0, 0, 1, 1)
+	plan.Text = src
+	col := &collector{}
+	if err := c.StartQuery(plan, col.emit); err != nil {
+		t.Fatal(err)
+	}
+	before := windows()
+	c.HandleBatch(transport.TupleBatch{QueryID: 1, HostID: "h1", Tuples: []transport.Tuple{
+		{RequestID: 1, TsNanos: sec, Values: []event.Value{event.Float(1)}},
+	}})
+	c.Tick(60 * sec)
+	if len(col.wins) != 1 {
+		t.Fatalf("coordinator emitted %d windows, want 1", len(col.wins))
+	}
+	if after := windows(); after != before+1 {
+		t.Fatalf("scrub_central_windows_total = %v after one window, want %v", after, before+1)
+	}
+	if _, ok := c.StopQuery(1); !ok {
+		t.Fatal("StopQuery missed")
+	}
+
 	a1.Close()
 	// Force the down flag, then sweep.
 	if err := c.members[0].ping(1); err == nil {
@@ -395,7 +438,8 @@ func TestMetricsMembershipSeries(t *testing.T) {
 // on its ShardStart RPC, probes the half-installed query. The entry must
 // be invisible — manifests dropped, StopQuery/Stats unknown — so the
 // rollback after shard 1's refusal never races state someone else folded
-// in. (PR 10 bugfix: the query used to be published before install.)
+// in. (Bugfixes: the query used to be published before install, and the
+// whole-batch path later skipped the install check.)
 func TestStartQueryTwoPhase(t *testing.T) {
 	vc := &vclock{}
 	c := NewCoordinator(Options{Clock: vc.now, LeaseTTL: time.Hour})
@@ -437,10 +481,19 @@ func TestStartQueryTwoPhase(t *testing.T) {
 	}
 
 	// Probe the pending entry: it must be invisible to every Executor
-	// surface, and a manifest racing the install must be dropped.
+	// surface, and a manifest or whole batch racing the install must be
+	// dropped. The batch's request ids hash to shard 0, which already
+	// accepted the start and would absorb them if the batch got through.
 	c.HandleManifest(transport.BatchManifest{
 		QueryID: 1, HostID: "h1", RawTuples: 1, HasTs: true, MaxTs: 50 * sec,
 	})
+	c.HandleBatch(transport.TupleBatch{QueryID: 1, HostID: "h1", Tuples: []transport.Tuple{
+		{RequestID: 0, TsNanos: sec, Values: []event.Value{event.Float(1)}},
+		{RequestID: 2, TsNanos: 2 * sec, Values: []event.Value{event.Float(1)}},
+	}})
+	if st, _ := node.Engine().Stats(1); st.TuplesIn != 0 {
+		t.Errorf("shard 0 absorbed %d tuples from a batch that raced the install", st.TuplesIn)
+	}
 	if _, ok := c.Stats(1); ok {
 		t.Error("Stats sees a query whose install has not finished")
 	}
@@ -842,5 +895,104 @@ func TestStandbyAwaitFailover(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("failover did not fire after leader silence")
+	}
+}
+
+// TestShardHandleContract runs the same script against both shard
+// handles the merger drives — the in-process central.LocalShard and the
+// RPC shard client over a pipe to a ShardNode — and pins the contract the
+// merger relies on: unknown queries are reported, not guessed at; drop
+// counters are cumulative across collects; a drained query is gone; and
+// the drained totals equal the late plus overflow drops counted so far.
+func TestShardHandleContract(t *testing.T) {
+	const src = `select v from ev window 10s`
+	q, err := ql.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qp, err := ql.Analyze(q, testCatalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := central.FromPlan(qp, 1, 0, 0, 1, 1)
+	plan.Text = src
+	plan.MaxRawRows = 2
+
+	handles := []struct {
+		name string
+		open func(t *testing.T) central.ShardHandle
+	}{
+		{"local", func(*testing.T) central.ShardHandle {
+			return central.LocalShard{Engine: central.NewEngine()}
+		}},
+		{"rpc", func(t *testing.T) central.ShardHandle {
+			node := NewShardNode(testCatalog())
+			cc, cs := transport.Pipe()
+			go node.ServeConn(cs)
+			sc := newShardClient(cc, "shard-0")
+			t.Cleanup(sc.close)
+			return sc
+		}},
+	}
+	batch := func(ts ...int64) transport.TupleBatch {
+		b := transport.TupleBatch{QueryID: 1, HostID: "h1"}
+		for i, at := range ts {
+			b.Tuples = append(b.Tuples, transport.Tuple{RequestID: uint64(i), TsNanos: at, Values: []event.Value{event.Float(1)}})
+		}
+		return b
+	}
+	for _, tc := range handles {
+		t.Run(tc.name, func(t *testing.T) {
+			h := tc.open(t)
+			if ack, err := h.Apply(batch(sec)); err != nil || ack.Known {
+				t.Fatalf("apply before start: known=%v err=%v, want not known", ack.Known, err)
+			}
+			if err := h.Start(&plan); err != nil {
+				t.Fatal(err)
+			}
+			// Three tuples into [0,10s) with room for two raw rows: one
+			// overflow drop.
+			ack, err := h.Apply(batch(sec, 2*sec, 3*sec))
+			if err != nil || !ack.Known {
+				t.Fatalf("apply: known=%v err=%v", ack.Known, err)
+			}
+			if !ack.HasTs || ack.MaxTs != 3*sec || ack.Overflow != 1 {
+				t.Fatalf("apply ack = %+v, want MaxTs 3s and 1 overflow", ack)
+			}
+			first, err := h.Collect(&plan, 10*sec)
+			if err != nil || !first.Found || len(first.Windows) != 1 || first.Windows[0].Start != 0 {
+				t.Fatalf("first collect = %+v, %v; want window [0,10s)", first, err)
+			}
+			// A tuple for the collected window is late; the second collect
+			// closes nothing but reports both counters cumulatively.
+			if ack, _ := h.Apply(batch(5 * sec)); ack.LateDelta != 1 {
+				t.Fatalf("late apply ack = %+v, want LateDelta 1", ack)
+			}
+			h.Apply(batch(15 * sec))
+			second, err := h.Collect(&plan, 10*sec)
+			if err != nil || !second.Found || len(second.Windows) != 0 {
+				t.Fatalf("second collect = %+v, %v; want found, no windows", second, err)
+			}
+			if first.Late != 0 || first.Overflow != 1 || second.Late != 1 || second.Overflow != 1 {
+				t.Fatalf("drop counters not cumulative: first late=%d overflow=%d, second late=%d overflow=%d",
+					first.Late, first.Overflow, second.Late, second.Overflow)
+			}
+			if n, ok := h.TuplesIn(1); !ok || n != 4 {
+				t.Fatalf("TuplesIn = %d, %v; want 4", n, ok)
+			}
+			drained, err := h.Drain(&plan)
+			if err != nil || !drained.Found || len(drained.Windows) != 1 || drained.Windows[0].Start != 10*sec {
+				t.Fatalf("drain = %+v, %v; want window [10s,20s)", drained, err)
+			}
+			if got, want := drained.Late+drained.Overflow, second.Late+second.Overflow; got != want {
+				t.Fatalf("drained late+overflow = %d, want %d", got, want)
+			}
+			if after, err := h.Collect(&plan, 30*sec); err != nil || after.Found {
+				t.Fatalf("collect after drain = %+v, %v; want not found", after, err)
+			}
+			if _, ok := h.TuplesIn(1); ok {
+				t.Fatal("TuplesIn found a drained query")
+			}
+		})
 	}
 }

@@ -23,17 +23,20 @@ type coordMetrics struct {
 	lagOf map[string]*obs.Gauge // per-shard last-contact lag, by address
 }
 
-func newCoordMetrics(reg *obs.Registry) *coordMetrics {
+// newCoordMetrics registers the coordinator's series. merges is the
+// merger's own fold counter, exported under the coordinator's name.
+func newCoordMetrics(reg *obs.Registry, merges *obs.Counter) *coordMetrics {
 	if reg == nil {
 		return nil
 	}
+	reg.RegisterCounter("scrub_coord_merges_total", "window partial merges folded", merges)
 	return &coordMetrics{
 		reg:        reg,
 		shards:     reg.Gauge("scrub_coord_shards", "current shard membership size"),
 		epoch:      reg.Gauge("scrub_coord_epoch", "current shard-map epoch"),
 		manifests:  reg.Counter("scrub_coord_manifests_total", "batch manifests processed"),
 		tuples:     reg.Counter("scrub_coord_manifest_tuples_total", "raw tuples accounted for by manifests"),
-		merges:     reg.Counter("scrub_coord_merges_total", "window partial merges folded"),
+		merges:     merges,
 		rebalances: reg.Counter("scrub_coord_rebalances_total", "shard membership changes"),
 		lagOf:      make(map[string]*obs.Gauge),
 	}

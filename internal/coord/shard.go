@@ -80,35 +80,24 @@ func (n *ShardNode) ServeConn(c *transport.Conn) {
 		case transport.ShardStart:
 			resp = n.handleStart(t)
 		case transport.ShardSubBatch:
-			ack, known := n.eng.ApplyDriven(transport.TupleBatch{
+			ack, _ := n.eng.ApplyDriven(transport.TupleBatch{
 				QueryID: t.QueryID, HostID: t.HostID, TypeIdx: t.TypeIdx,
 				Tuples: t.Tuples,
 			})
-			resp = transport.ShardBatchAck{
-				Seq: t.Seq, Known: known,
-				HasTs: ack.HasTs, MaxTs: ack.MaxTs,
-				LateDelta: ack.LateDelta, Late: ack.Late, Overflow: ack.Overflow,
-			}
+			ack.Seq = t.Seq
+			resp = ack
 		case transport.ShardCollectReq:
 			if !n.admitFence(t.Fence) {
 				resp = transport.ShardPartials{Seq: t.Seq, Stale: true}
 				break
 			}
-			partials, late, overflow, found := n.eng.CollectDriven(t.QueryID, t.Bound)
-			resp = transport.ShardPartials{
-				Seq: t.Seq, Found: found, Partials: toWirePartials(partials),
-				Late: late, Overflow: overflow,
-			}
+			resp = wirePartials(t.Seq, n.eng.CollectDriven(t.QueryID, t.Bound))
 		case transport.ShardStopReq:
 			if !n.admitFence(t.Fence) {
 				resp = transport.ShardPartials{Seq: t.Seq, Stale: true}
 				break
 			}
-			partials, drops, found := n.eng.DrainDriven(t.QueryID)
-			resp = transport.ShardPartials{
-				Seq: t.Seq, Found: found, Partials: toWirePartials(partials),
-				Late: drops,
-			}
+			resp = wirePartials(t.Seq, n.eng.DrainDriven(t.QueryID))
 		case transport.ShardFence:
 			ack := transport.ShardFenceAck{Seq: t.Seq, Ok: n.admitFence(t.Fence)}
 			ack.Fence = n.fence.Load()
@@ -144,10 +133,8 @@ func (n *ShardNode) handleStart(t transport.ShardStart) transport.ShardAck {
 	if !n.admitFence(t.Fence) {
 		return transport.ShardAck{Seq: t.Seq, Err: "stale fencing epoch"}
 	}
-	for _, id := range n.eng.ActiveQueries() {
-		if id == t.QueryID {
-			return transport.ShardAck{Seq: t.Seq}
-		}
+	if _, running := n.eng.Stats(t.QueryID); running {
+		return transport.ShardAck{Seq: t.Seq}
 	}
 	cp, err := PlanFromShardStart(t, n.cat)
 	if err != nil {
@@ -227,13 +214,11 @@ func ShardStartFromPlan(p *central.Plan) transport.ShardStart {
 	}
 }
 
-func toWirePartials(ps []central.EncodedPartial) []transport.WindowPartial {
-	if len(ps) == 0 {
-		return nil
-	}
-	out := make([]transport.WindowPartial, len(ps))
-	for i, p := range ps {
-		out[i] = transport.WindowPartial{Start: p.Start, End: p.End, Data: p.Data}
+// wirePartials encodes a collect or drain answer for the wire.
+func wirePartials(seq uint64, ps central.Partials) transport.ShardPartials {
+	out := transport.ShardPartials{Seq: seq, Found: ps.Found, Late: ps.Late, Overflow: ps.Overflow}
+	for _, w := range ps.Windows {
+		out.Partials = append(out.Partials, central.EncodePartial(w))
 	}
 	return out
 }

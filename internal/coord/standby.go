@@ -234,20 +234,18 @@ func (s *Standby) Promote(emitFor func(q ResumedQuery, plan *central.Plan) centr
 	}
 
 	c := NewCoordinator(s.opt.Central)
-	c.fence = term
+	c.fence.Store(term)
 	c.mu.Lock()
 	c.epoch = membership.Epoch
 	for _, addr := range membership.Addrs {
 		conn, err := dial(addr)
+		sc := c.member(conn, addr)
 		if err != nil {
 			// The shard is unreachable right now: keep its slot (routing
 			// order must not shift) but latched down, like a dead shard.
-			sc := newShardClient(nil, addr)
 			sc.down.Store(true)
-			c.members = append(c.members, sc)
-			continue
 		}
-		c.members = append(c.members, newShardClient(conn, addr))
+		c.members = append(c.members, sc)
 	}
 	c.met.setMembership(len(c.members), c.epoch)
 	members := append([]*shardClient(nil), c.members...)
@@ -272,7 +270,9 @@ func (s *Standby) Promote(emitFor func(q ResumedQuery, plan *central.Plan) centr
 		}
 		for _, id := range ack.Queries {
 			if !replicated[id] {
-				sc.stop(id, term)
+				// Best effort, and the orphan's state is discarded: a
+				// failed stop latches the client down like any failure.
+				_, _, _ = sc.do(sc.stopReq(id, term))
 			}
 		}
 	}

@@ -100,9 +100,9 @@ type ShardSubBatch struct {
 }
 
 // ShardBatchAck answers ShardSubBatch with what the driven engine
-// observed while absorbing it. The router folds per-shard acks (OR HasTs,
-// max MaxTs, sum LateDelta) to recover exactly what an in-process
-// ShardedEngine would have seen around its synchronous fan-out.
+// observed while absorbing it (central.Engine.ApplyDriven reports the
+// same struct in process). The router folds per-shard acks (OR HasTs,
+// max MaxTs, sum LateDelta) into the batch's manifest (central.Route).
 type ShardBatchAck struct {
 	Seq       uint64
 	Known     bool // false: the shard does not know the query (teardown race)
@@ -123,7 +123,7 @@ type ShardCollectReq struct {
 }
 
 // WindowPartial is one closed window's serialized accumulated state
-// (central.EncodedPartial on the wire).
+// (central.EncodePartial / central.DecodePartial).
 type WindowPartial struct {
 	Start int64
 	End   int64
@@ -138,8 +138,8 @@ type ShardPartials struct {
 	Stale    bool
 	Found    bool
 	Partials []WindowPartial
-	Late     uint64 // cumulative window-late drops (stop: late+overflow total)
-	Overflow uint64 // cumulative overflow drops (stop: 0)
+	Late     uint64 // cumulative window-late drops
+	Overflow uint64 // cumulative overflow drops
 }
 
 // ShardStopReq drains and removes a query from a shard.
@@ -165,10 +165,9 @@ type ShardStatsResp struct {
 }
 
 // BatchManifest reports one whole host batch's counters to the
-// coordinator after its tuples were routed to shards. The coordinator
-// folds it into stream liveness and watermark state exactly like
-// ShardedEngine.HandleBatch folds a batch — minus the fan-out, which the
-// router already performed.
+// coordinator after its tuples were routed to shards (central.Route).
+// The coordinator's merger folds it into stream liveness and watermark
+// state (central.Merger.HandleManifest).
 type BatchManifest struct {
 	Seq       uint64
 	QueryID   uint64
@@ -179,8 +178,8 @@ type BatchManifest struct {
 	MaxTs     int64  // max in-span event time
 	LateDelta uint64 // window-late drops this batch caused, attributed to this stream
 	// Per-shard cumulative drop counters as of this batch, indexed by the
-	// query's shard order. The coordinator caches them so emitted windows
-	// report the same totals ShardedEngine reads via dropsOf at emit.
+	// query's shard order. The merger caches them (max-folded, refreshed
+	// by every collect) for the drop totals emitted windows report.
 	ShardLate     []uint64
 	ShardOverflow []uint64
 	// The host batch's own cumulative counters (TupleBatch fields).

@@ -26,6 +26,11 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== benchmark module (perfbench: vet, smoke + tracing-transparency self-tests) =="
+# perfbench/ is its own Go module, so the root go test ./... never builds
+# it; this keeps the APIs it imports from drifting out from under it.
+(cd perfbench && go vet ./... && go test .)
+
 echo "== metrics smoke (boot daemons, scrape /metrics) =="
 go run ./scripts/metricssmoke
 
