@@ -12,6 +12,7 @@ package agg
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"scrub/internal/event"
@@ -342,13 +343,22 @@ type topKAgg struct {
 	k  int
 	n  uint64
 	ss *sketch.SpaceSaving
+	// item is the reused buffer integer items are formatted into, so a
+	// tracked integer is counted without building its string.
+	item []byte
 }
 
 func (a *topKAgg) Add(v event.Value) {
 	if !v.IsValid() {
 		return
 	}
-	a.ss.Add(v.String())
+	if i, ok := v.AsInt(); ok {
+		// Spelled exactly as v.String() spells it.
+		a.item = strconv.AppendInt(a.item[:0], i, 10)
+		a.ss.AddBytes(a.item)
+	} else {
+		a.ss.Add(v.String())
+	}
 	a.n++
 }
 

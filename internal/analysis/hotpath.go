@@ -18,11 +18,13 @@ import (
 // Flagged constructs: make/new, map and slice literals, &composite
 // literals, append outside the two amortized-reuse idioms
 // (`x = append(x, …)` and `return append(param, …)`), closures, string
-// concatenation and string<->[]byte conversions, fmt calls, go
-// statements, variadic calls (the argument slice), and implicit
-// interface conversions of values that are not pointer-shaped (those
-// heap-allocate; pointer-shaped values are stored directly in the
-// interface word).
+// concatenation and string<->[]byte conversions (except string(b) as a
+// read-only map key or an ==/!= operand, which the compiler evaluates
+// in place), fmt calls, go statements, variadic calls (the argument
+// slice), and implicit interface conversions of values that are not
+// pointer-shaped (those heap-allocate; pointer-shaped values are stored
+// directly in the interface word). Calls through a generic
+// instantiation are chased into the generic declaration.
 //
 // Escape hatches: //scrub:allowalloc(reason) on the line (or the line
 // above) suppresses one site; on a function's doc comment it exempts —
@@ -64,7 +66,9 @@ func runHotPath(pass *Pass) {
 			if fn == nil {
 				return true
 			}
-			callee := fn.FullName()
+			// A call through a generic instantiation is checked as its
+			// declaration, the one body there is.
+			callee := fn.Origin().FullName()
 			if _, declared := prog.Funcs[callee]; !declared {
 				return true
 			}
@@ -208,7 +212,7 @@ func (hc *hotChecker) checkCall(u *Package, call *ast.CallExpr, parents map[ast.
 		if isIface(target) && argT != nil && !isIface(argT) && !hc.convAllocFree(argT) {
 			hc.reportf(call.Pos(), root, "conversion to interface %s boxes a non-pointer-shaped value", types.TypeString(target, nil))
 		}
-		if allocatingStringConv(target, argT) {
+		if allocatingStringConv(target, argT) && !tempStringConv(u, call, target, parents) {
 			hc.reportf(call.Pos(), root, "string/[]byte conversion copies and allocates")
 		}
 		return
@@ -327,6 +331,49 @@ func isNil(u *Package, e ast.Expr) bool {
 	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
 		_, isNilObj := objOf(u, id).(*types.Nil)
 		return isNilObj
+	}
+	return false
+}
+
+// tempStringConv recognizes the string(b) conversions the compiler
+// evaluates in place, without copying b: the key of a map index that only
+// reads (m[string(b)], the comma-ok form included) and an operand of ==
+// or !=. Storing through the index (m[string(b)] = v) must materialize
+// the key, so it still allocates.
+func tempStringConv(u *Package, call *ast.CallExpr, target types.Type, parents map[ast.Node]ast.Node) bool {
+	if b, ok := target.Underlying().(*types.Basic); !ok || b.Info()&types.IsString == 0 {
+		return false
+	}
+	var child ast.Node = call
+	parent := parents[child]
+	for {
+		pe, ok := parent.(*ast.ParenExpr)
+		if !ok {
+			break
+		}
+		child, parent = pe, parents[pe]
+	}
+	switch p := parent.(type) {
+	case *ast.BinaryExpr:
+		return p.Op == token.EQL || p.Op == token.NEQ
+	case *ast.IndexExpr:
+		if p.Index != child {
+			return false
+		}
+		if _, isMap := u.TypeOf(p.X).Underlying().(*types.Map); !isMap {
+			return false
+		}
+		switch s := parents[p].(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range s.Lhs {
+				if lhs == p {
+					return false
+				}
+			}
+		case *ast.IncDecStmt:
+			return false
+		}
+		return true
 	}
 	return false
 }

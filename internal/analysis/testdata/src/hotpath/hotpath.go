@@ -23,8 +23,14 @@ func mk() []int          { return make([]int, 4) } // want `make allocates`
 //scrub:allowalloc(slow path: exercised only at startup)
 func coldInit() map[string]int { return map[string]int{"a": 1} }
 
+// box is generic: a call through an instantiation is checked as the
+// declaration.
+type box[T any] struct{ xs []T }
+
+func (b *box[T]) grow() []T { return make([]T, 4) } // want `make allocates`
+
 //scrub:hotpath
-func Hot(buf []byte, xs []int, s string, p ptrShaped, f fatStruct) []byte {
+func Hot(buf []byte, xs []int, s string, p ptrShaped, f fatStruct, idx map[string]int) []byte {
 	m := make(map[string]int) // want `make allocates`
 	_ = m
 	n := new(int) // want `new allocates`
@@ -42,6 +48,15 @@ func Hot(buf []byte, xs []int, s string, p ptrShaped, f fatStruct) []byte {
 	_ = s2
 	bs := []byte(s) // want `conversion copies and allocates`
 	_ = bs
+	_ = idx[string(buf)]                 // ok: a read-only map index converts in place
+	if _, ok := idx[(string(buf))]; ok { // ok: the comma-ok form too
+		_ = string(buf) == s // ok: so does an ==/!= operand
+	}
+	idx[string(buf)] = 1 // want `conversion copies and allocates`
+	idx[string(buf)]++   // want `conversion copies and allocates`
+	_ = string(buf) + s  // want `conversion copies and allocates` `string concatenation allocates`
+	var bx box[int]
+	_ = bx.grow()
 	fmt.Println(s)     // want `fmt.Println allocates`
 	xs = append(xs, 1) // ok: self-assign reuse idiom
 	_ = xs

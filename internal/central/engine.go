@@ -122,10 +122,15 @@ type queryState struct {
 	queryFront
 	win      *window.SlidingManager[*winState]
 	overflow uint64 // raw-row + join-pending drops
-	// scratchKey is the reused group-key buffer for accumulate (engine
-	// lock held throughout a batch, so one buffer per query suffices);
-	// only a tuple that opens a new group copies it.
-	scratchKey []event.Value
+	// Per-tuple evaluation scratch, reused across every tuple (the engine
+	// lock is held throughout a batch, so one set per query suffices):
+	// the row adapters evaluators see, the group-by key values and the
+	// group-map key they encode to. Only a tuple that opens a new group
+	// copies them.
+	side    sideRow
+	join    joinRow
+	keyVals []event.Value
+	keyBuf  []byte
 }
 
 type group struct {
@@ -133,15 +138,28 @@ type group struct {
 	aggs    []agg.Aggregator
 }
 
+// joinCell holds one request id's buffered tuples: per side, the head of
+// a chain in arrival order (nil when the side is empty). Cells are
+// stored by value; the chained tuples live in the window's slabs. A
+// request's chains are short (its few events of each type), so
+// appending walks the chain rather than keep a tail per side.
 type joinCell struct {
-	sides [2][]transport.Tuple
+	head [2]*pendingTuple
+}
+
+// pendingTuple is one buffered join tuple. Its Values live in the
+// window's value slab: the batch's own arrays are recycled by the host
+// (see host.Sink) or the decoder once the call returns.
+type pendingTuple struct {
+	tuple transport.Tuple
+	next  *pendingTuple // next on the same side of the same cell
 }
 
 func newWinState() *winState {
 	return &winState{
 		hosts:   make(map[string]struct{}),
 		groups:  make(map[string]*group),
-		pending: make(map[uint64]*joinCell),
+		pending: make(map[uint64]joinCell),
 		perHost: make(map[string][]stats.Running),
 	}
 }
@@ -151,12 +169,22 @@ type winState struct {
 	hosts        map[string]struct{}
 	groups       map[string]*group
 	rawRows      [][]event.Value
-	pending      map[uint64]*joinCell
+	pending      map[uint64]joinCell
 	pendingCount int
 	// perHost tracks per-host reading moments per aggregate for the
 	// Eq. 1–3 error bounds; only maintained for ungrouped scalable
 	// aggregates under sampling.
 	perHost map[string][]stats.Running
+
+	// Slabs for everything the window retains past a batch: groups, their
+	// key values and aggregator slots, raw rows, join-buffered tuples and
+	// their values, and per-host moments. They live exactly as long as
+	// the window.
+	groupSlab  slab[group]
+	aggSlab    slab[agg.Aggregator]
+	valSlab    slab[event.Value]
+	pendSlab   slab[pendingTuple]
+	momentSlab slab[stats.Running]
 }
 
 // StartQuery installs a central query object.
@@ -179,7 +207,11 @@ func (e *Engine) StartQuery(p Plan, emit EmitFunc) error {
 	if _, dup := e.queries[p.QueryID]; dup {
 		return fmt.Errorf("central: query %d already active", p.QueryID)
 	}
-	e.queries[p.QueryID] = &queryState{queryFront: newQueryFront(p, comp, emit, &e.opt, e.met), win: win}
+	qs := &queryState{queryFront: newQueryFront(p, comp, emit, &e.opt, e.met), win: win}
+	qs.side = sideRow{c: qs.comp, types: qs.plan.Types}
+	qs.join = joinRow{c: qs.comp, types: qs.plan.Types}
+	qs.keyVals = make([]event.Value, len(comp.groupEvals))
+	e.queries[p.QueryID] = qs
 	return nil
 }
 
@@ -249,6 +281,11 @@ func (e *Engine) HandleBatch(b transport.TupleBatch) {
 // applyLocked runs a batch's tuples through the span filter, window
 // routing, join and accumulation, and reports what it observed: the max
 // in-span event time and the query's late and overflow drop counters.
+// It allocates nothing per tuple once the window's groups, join cells
+// and slab chunks exist; the batch's memory is not retained past the
+// call (DESIGN.md §9).
+//
+//scrub:hotpath
 func (e *Engine) applyLocked(qs *queryState, b transport.TupleBatch) transport.ShardBatchAck {
 	lateBefore := qs.win.LateDrops()
 	dataStart := qs.plan.DataStartNanos()
@@ -270,6 +307,8 @@ func (e *Engine) applyLocked(qs *queryState, b transport.TupleBatch) transport.S
 			ack.HasTs = true
 		}
 	}
+	// The rows must not keep the batch reachable once it is handed back.
+	qs.side.tuple, qs.join.left, qs.join.right = nil, nil, nil
 	ack.LateDelta = qs.win.LateDrops() - lateBefore
 	ack.Late = qs.win.LateDrops()
 	ack.Overflow = qs.overflow
@@ -284,7 +323,8 @@ func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx
 	ws.hosts[host] = struct{}{}
 
 	if !qs.plan.IsJoin() {
-		row := sideRow{c: qs.comp, types: qs.plan.Types, typeIdx: int(typeIdx), tuple: t}
+		row := &qs.side
+		row.typeIdx, row.tuple = int(typeIdx), t
 		if qs.comp.centralPred != nil && !qs.comp.centralPred(row) {
 			return
 		}
@@ -294,17 +334,13 @@ func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx
 
 	// Equi-join on the request identifier, within the window.
 	cell := ws.pending[t.RequestID]
-	if cell == nil {
-		cell = &joinCell{}
-		ws.pending[t.RequestID] = cell
-	}
 	other := 1 - int(typeIdx)
-	for i := range cell.sides[other] {
-		var row joinRow
+	row := &qs.join
+	for pt := cell.head[other]; pt != nil; pt = pt.next {
 		if typeIdx == 0 {
-			row = joinRow{c: qs.comp, types: qs.plan.Types, left: t, right: &cell.sides[other][i]}
+			row.left, row.right = t, &pt.tuple
 		} else {
-			row = joinRow{c: qs.comp, types: qs.plan.Types, left: &cell.sides[other][i], right: t}
+			row.left, row.right = &pt.tuple, t
 		}
 		if qs.comp.centralPred != nil && !qs.comp.centralPred(row) {
 			continue
@@ -315,14 +351,17 @@ func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx
 		qs.overflow++
 		return
 	}
-	// The batch's Values arrays live in host-agent chunk memory that is
-	// recycled once SendBatch returns (see host.Sink); a tuple retained
-	// past this call must own its values.
-	kept := *t
-	if len(t.Values) > 0 {
-		kept.Values = append([]event.Value(nil), t.Values...)
+	// The batch's Values arrays are recycled once this call returns (see
+	// host.Sink), so a retained tuple's values are copied into the
+	// window's slab.
+	pt := &ws.pendSlab.take(1)[0]
+	pt.tuple = transport.Tuple{RequestID: t.RequestID, TsNanos: t.TsNanos, Values: ws.valSlab.clone(t.Values)}
+	link := &cell.head[typeIdx]
+	for *link != nil {
+		link = &(*link).next
 	}
-	cell.sides[typeIdx] = append(cell.sides[typeIdx], kept)
+	*link = pt
+	ws.pending[t.RequestID] = cell // a new cell may grow the map
 	ws.pendingCount++
 	if e.met != nil {
 		e.met.joinPending.Add(1)
@@ -338,7 +377,7 @@ func (e *Engine) accumulate(qs *queryState, ws *winState, row expr.Row, host str
 			qs.overflow++
 			return
 		}
-		out := make([]event.Value, len(qs.comp.selectEvals))
+		out := ws.valSlab.take(len(qs.comp.selectEvals))
 		for i, ev := range qs.comp.selectEvals {
 			out[i] = ev(row)
 		}
@@ -346,22 +385,16 @@ func (e *Engine) accumulate(qs *queryState, ws *winState, row expr.Row, host str
 		return
 	}
 
-	if cap(qs.scratchKey) < len(qs.comp.groupEvals) {
-		qs.scratchKey = make([]event.Value, len(qs.comp.groupEvals))
-	}
-	keyVals := qs.scratchKey[:len(qs.comp.groupEvals)]
+	// The group is found by its encoded key without building a string;
+	// only a new group materializes one.
+	qs.keyBuf = qs.keyBuf[:0]
 	for i, ev := range qs.comp.groupEvals {
-		keyVals[i] = ev(row)
+		qs.keyVals[i] = ev(row)
+		qs.keyBuf = event.AppendValue(qs.keyBuf, qs.keyVals[i])
 	}
-	key := encodeKey(keyVals)
-	g := ws.groups[key]
+	g := ws.groups[string(qs.keyBuf)]
 	if g == nil {
-		aggs, err := p.newAggSet()
-		if err != nil {
-			return // validated at StartQuery; unreachable
-		}
-		g = &group{keyVals: append([]event.Value(nil), keyVals...), aggs: aggs}
-		ws.groups[key] = g
+		g = newGroup(qs, ws)
 	}
 	for i, ag := range g.aggs {
 		if qs.comp.aggArgEvals[i] == nil {
@@ -381,7 +414,7 @@ func (e *Engine) accumulate(qs *queryState, ws *winState, row expr.Row, host str
 	if !p.Grouped() && len(p.Aggs) > 0 {
 		moments := ws.perHost[host]
 		if moments == nil {
-			moments = make([]stats.Running, len(p.Aggs))
+			moments = ws.momentSlab.take(len(p.Aggs))
 			ws.perHost[host] = moments
 		}
 		for i, a := range p.Aggs {
@@ -394,8 +427,20 @@ func (e *Engine) accumulate(qs *queryState, ws *winState, row expr.Row, host str
 				moments[i].Add(f)
 			}
 		}
-		ws.perHost[host] = moments
 	}
+}
+
+// newGroup opens the group keyed by the query's current key scratch,
+// carving its state from the window's slabs.
+//
+//scrub:allowalloc(new group: key string, aggregators and map growth, once per group per window)
+func newGroup(qs *queryState, ws *winState) *group {
+	g := &ws.groupSlab.take(1)[0]
+	g.keyVals = ws.valSlab.clone(qs.keyVals)
+	g.aggs = ws.aggSlab.take(len(qs.plan.Aggs))
+	_ = qs.plan.fillAggs(g.aggs) // validated at StartQuery; cannot fail
+	ws.groups[string(qs.keyBuf)] = g
+	return g
 }
 
 // renderWindow turns a closed window's accumulated state into result
@@ -441,6 +486,7 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 		}
 		var bounds []float64
 		var sums map[int]float64
+		row := &resultRow{groupBy: p.GroupBy}
 		if rw.Approx && !p.Grouped() {
 			bounds, sums = computeBounds(p, comp, ws, rates)
 		}
@@ -458,7 +504,7 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 				}
 				aggVals[i] = v
 			}
-			row := resultRow{groupBy: p.GroupBy, keyVals: g.keyVals, aggVals: aggVals}
+			row.keyVals, row.aggVals = g.keyVals, aggVals
 			if comp.havingPred != nil && !comp.havingPred(row) {
 				continue
 			}

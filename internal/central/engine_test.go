@@ -3,6 +3,7 @@ package central
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -469,35 +470,6 @@ func TestUnknownQueryBatchIgnored(t *testing.T) {
 	}
 }
 
-func BenchmarkHandleBatchGrouped(b *testing.B) {
-	e := NewEngine()
-	cat := event.NewCatalog()
-	cat.MustRegister(event.MustSchema("bid",
-		event.FieldDef{Name: "user_id", Kind: event.KindInt}))
-	q, _ := ql.Parse(`select bid.user_id, count(*) from bid group by bid.user_id window 10s`)
-	ap, err := ql.Analyze(q, cat)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := FromPlan(ap, 1, 0, 0, 1, 1)
-	if err := e.StartQuery(p, func(transport.ResultWindow) {}); err != nil {
-		b.Fatal(err)
-	}
-	const batchSize = 256
-	tuples := make([]transport.Tuple, batchSize)
-	b.ReportAllocs()
-	b.ResetTimer()
-	ts := int64(0)
-	for i := 0; i < b.N; i++ {
-		for j := range tuples {
-			ts += int64(time.Millisecond)
-			tuples[j] = tup(uint64(j), ts, event.Int(int64(j%100)))
-		}
-		e.HandleBatch(transport.TupleBatch{QueryID: 1, HostID: "h", Tuples: tuples})
-	}
-	b.SetBytes(batchSize)
-}
-
 func TestSlidingWindowsAtCentral(t *testing.T) {
 	// The paper's named extension: window 10s slide 5s — each tuple
 	// counts in two overlapping windows.
@@ -658,5 +630,91 @@ func TestEngineConcurrentStress(t *testing.T) {
 	}
 	if stats.LateDrops != 0 {
 		t.Errorf("late drops = %d under infinite lateness", stats.LateDrops)
+	}
+}
+
+// TestBatchMemoryNotRetained pins the ownership half of the host.Sink
+// contract on the apply path: once HandleBatch or ApplyDriven returns,
+// the batch's Values arrays belong to the sender again (a host recycles
+// its chunk, a connection its decode arena). Every element of them is
+// overwritten after each call; the windows emitted and collected must
+// be exactly those of an engine fed untouched copies — the join buffers
+// tuples across batches, so any aliasing would show.
+func TestBatchMemoryNotRetained(t *testing.T) {
+	const src = `select exclusion.reason, count(*), sum(bid.user_id) from bid, exclusion
+		group by exclusion.reason window 10s`
+	// batches returns the traffic afresh, each batch's Values carved from
+	// one backing array like a host chunk.
+	batches := func() ([]transport.TupleBatch, [][]event.Value) {
+		var bs []transport.TupleBatch
+		var arrays [][]event.Value
+		for round := 0; round < 3; round++ {
+			for side := uint8(0); side < 2; side++ {
+				vals := make([]event.Value, 8)
+				b := transport.TupleBatch{QueryID: 1, HostID: fmt.Sprintf("h%d", side), TypeIdx: side}
+				for j := range vals {
+					req := uint64(round*4 + j/2)
+					if side == 0 {
+						vals[j] = event.Int(int64(100*round + j))
+					} else {
+						vals[j] = event.Str([]string{"budget", "frequency_cap"}[j%2])
+					}
+					b.Tuples = append(b.Tuples, tup(req, sec(int64(1+round)), vals[j:j+1:j+1]...))
+				}
+				bs = append(bs, b)
+				arrays = append(arrays, vals)
+			}
+		}
+		return bs, arrays
+	}
+	scribble := func(vals []event.Value) {
+		for i := range vals {
+			vals[i] = event.Int(-1)
+		}
+	}
+
+	var want, got collector
+	ref, eng := NewEngine(), NewEngine()
+	if err := ref.StartQuery(buildPlan(t, src, 1, 1, 1), want.emit); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.StartQuery(buildPlan(t, src, 1, 1, 1), got.emit); err != nil {
+		t.Fatal(err)
+	}
+	refDriven, driven := NewEngine(), NewEngine()
+	for _, e := range []*Engine{refDriven, driven} {
+		if err := e.StartDriven(buildPlan(t, src, 1, 1, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clean, _ := batches()
+	for _, b := range clean {
+		ref.HandleBatch(b)
+		refDriven.ApplyDriven(b)
+	}
+	reused, arrays := batches()
+	for i, b := range reused {
+		eng.HandleBatch(b)
+		scribble(arrays[i])
+	}
+	reused, arrays = batches()
+	for i, b := range reused {
+		driven.ApplyDriven(b)
+		scribble(arrays[i])
+	}
+	ref.Tick(sec(60))
+	eng.Tick(sec(60))
+	if w, g := want.all(), got.all(); len(w) == 0 || !reflect.DeepEqual(w, g) {
+		t.Errorf("emitted windows changed when batch memory was reused:\n want %+v\n  got %+v", w, g)
+	}
+	wantP, gotP := refDriven.CollectDriven(1, sec(60)), driven.CollectDriven(1, sec(60))
+	if len(wantP.Windows) == 0 || len(gotP.Windows) != len(wantP.Windows) {
+		t.Fatalf("collected %d windows, want %d", len(gotP.Windows), len(wantP.Windows))
+	}
+	for i := range wantP.Windows {
+		w, g := EncodePartial(wantP.Windows[i]), EncodePartial(gotP.Windows[i])
+		if !reflect.DeepEqual(w, g) {
+			t.Errorf("collected window %d changed when batch memory was reused", i)
+		}
 	}
 }

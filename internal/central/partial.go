@@ -245,7 +245,7 @@ func DecodePartial(p *Plan, wp transport.WindowPartial) (Partial, error) {
 			aggs[j] = a
 			n += used
 		}
-		ws.groups[encodeKey(keyVals)] = &group{keyVals: keyVals, aggs: aggs}
+		ws.groups[string(appendKey(nil, keyVals))] = &group{keyVals: keyVals, aggs: aggs}
 	}
 
 	rowCnt, sz := binary.Uvarint(b[n:])

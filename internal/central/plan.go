@@ -272,21 +272,27 @@ func compile(p *Plan) (*compiled, error) {
 // newAggSet instantiates the plan's aggregators for one group.
 func (p *Plan) newAggSet() ([]agg.Aggregator, error) {
 	out := make([]agg.Aggregator, len(p.Aggs))
+	return out, p.fillAggs(out)
+}
+
+// fillAggs instantiates the plan's aggregators for one group into dst,
+// which holds one slot per aggregate.
+func (p *Plan) fillAggs(dst []agg.Aggregator) error {
 	for i, a := range p.Aggs {
 		ag, err := agg.New(a.Spec)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out[i] = ag
+		dst[i] = ag
 	}
-	return out, nil
+	return nil
 }
 
-// encodeKey builds a map key from group-by values.
-func encodeKey(vals []event.Value) string {
-	buf := make([]byte, 0, 32)
+// appendKey appends the group-map key of a group-by value list to dst:
+// the values' binary encodings, back to back.
+func appendKey(dst []byte, vals []event.Value) []byte {
 	for _, v := range vals {
-		buf = event.AppendValue(buf, v)
+		dst = event.AppendValue(dst, v)
 	}
-	return string(buf)
+	return dst
 }

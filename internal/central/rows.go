@@ -6,8 +6,34 @@ import (
 	"scrub/internal/transport"
 )
 
-// sideRow adapts a single shipped tuple as an expr.Row. Field lookups use
-// the per-type column index built at plan compile time.
+// The row adapters are evaluated through pointers: each query keeps one
+// sideRow and one joinRow that it re-points at every tuple, and a
+// window render one resultRow, so handing a row to a compiled evaluator
+// stores a pointer in the expr.Row interface instead of boxing a copy of
+// the struct per call. Pointer receivers make a by-value row a compile
+// error rather than a silent allocation.
+
+// field resolves a field reference against one shipped tuple of the
+// typeIdx'th FROM type. Field lookups use the per-type column index
+// built at plan compile time.
+func (c *compiled) field(types []string, typeIdx int, t *transport.Tuple, typ, name string) event.Value {
+	if typ != "" && typ != types[typeIdx] {
+		return event.Invalid
+	}
+	switch name {
+	case event.FieldRequestID:
+		return event.Int(int64(t.RequestID))
+	case event.FieldTimestamp:
+		return event.TimeNanos(t.TsNanos)
+	}
+	idx, ok := c.colIdx[typeIdx][name]
+	if !ok || idx >= len(t.Values) {
+		return event.Invalid
+	}
+	return t.Values[idx]
+}
+
+// sideRow adapts a single shipped tuple as an expr.Row.
 type sideRow struct {
 	c       *compiled
 	types   []string
@@ -16,25 +42,12 @@ type sideRow struct {
 }
 
 // Field implements expr.Row.
-func (r sideRow) Field(typ, name string) event.Value {
-	if typ != "" && typ != r.types[r.typeIdx] {
-		return event.Invalid
-	}
-	switch name {
-	case event.FieldRequestID:
-		return event.Int(int64(r.tuple.RequestID))
-	case event.FieldTimestamp:
-		return event.TimeNanos(r.tuple.TsNanos)
-	}
-	idx, ok := r.c.colIdx[r.typeIdx][name]
-	if !ok || idx >= len(r.tuple.Values) {
-		return event.Invalid
-	}
-	return r.tuple.Values[idx]
+func (r *sideRow) Field(typ, name string) event.Value {
+	return r.c.field(r.types, r.typeIdx, r.tuple, typ, name)
 }
 
 // Agg implements expr.Row; tuples carry no aggregates.
-func (sideRow) Agg(int) event.Value { return event.Invalid }
+func (*sideRow) Agg(int) event.Value { return event.Invalid }
 
 // joinRow adapts a joined tuple pair. Qualified lookups pick the side by
 // type; unqualified lookups resolve against side 0 first (matching the
@@ -48,24 +61,24 @@ type joinRow struct {
 }
 
 // Field implements expr.Row.
-func (r joinRow) Field(typ, name string) event.Value {
+func (r *joinRow) Field(typ, name string) event.Value {
 	switch typ {
 	case r.types[0]:
-		return sideRow{c: r.c, types: r.types, typeIdx: 0, tuple: r.left}.Field(typ, name)
+		return r.c.field(r.types, 0, r.left, typ, name)
 	case r.types[1]:
-		return sideRow{c: r.c, types: r.types, typeIdx: 1, tuple: r.right}.Field(typ, name)
+		return r.c.field(r.types, 1, r.right, typ, name)
 	case "":
-		if v := (sideRow{c: r.c, types: r.types, typeIdx: 0, tuple: r.left}).Field("", name); v.IsValid() {
+		if v := r.c.field(r.types, 0, r.left, "", name); v.IsValid() {
 			return v
 		}
-		return sideRow{c: r.c, types: r.types, typeIdx: 1, tuple: r.right}.Field("", name)
+		return r.c.field(r.types, 1, r.right, "", name)
 	default:
 		return event.Invalid
 	}
 }
 
 // Agg implements expr.Row.
-func (joinRow) Agg(int) event.Value { return event.Invalid }
+func (*joinRow) Agg(int) event.Value { return event.Invalid }
 
 // resultRow is the evaluation context when a window closes: group-by key
 // values for field references, scaled aggregate results for AggRefs.
@@ -77,7 +90,7 @@ type resultRow struct {
 
 // Field implements expr.Row: only group-by keys are addressable in result
 // expressions (enforced at validation).
-func (r resultRow) Field(typ, name string) event.Value {
+func (r *resultRow) Field(typ, name string) event.Value {
 	for i, g := range r.groupBy {
 		if g.Name == name && (typ == "" || typ == g.Type) {
 			return r.keyVals[i]
@@ -87,7 +100,7 @@ func (r resultRow) Field(typ, name string) event.Value {
 }
 
 // Agg implements expr.Row.
-func (r resultRow) Agg(i int) event.Value {
+func (r *resultRow) Agg(i int) event.Value {
 	if i < 0 || i >= len(r.aggVals) {
 		return event.Invalid
 	}

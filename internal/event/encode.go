@@ -116,6 +116,59 @@ func DecodeValue(b []byte) (Value, int, error) {
 	}
 }
 
+// ValueLen returns the encoded length of the value at the start of b
+// without decoding it, and false when b does not start with a value
+// DecodeValue would accept. It never allocates, so a decoder can size its
+// buffers from what a payload actually holds before trusting any of it.
+func ValueLen(b []byte) (int, bool) {
+	if len(b) == 0 {
+		return 0, false
+	}
+	n := 1
+	switch Kind(b[0]) {
+	case KindInvalid:
+		return n, true
+	case KindBool:
+		n++
+	case KindInt, KindTime, KindFloat:
+		n += 8
+	case KindString:
+		ln, sz := binary.Uvarint(b[n:])
+		if sz <= 0 || uint64(len(b)-n-sz) < ln {
+			return 0, false
+		}
+		n += sz + int(ln)
+	case KindList:
+		if len(b) < n+1 {
+			return 0, false
+		}
+		elem := Kind(b[n])
+		n++
+		cnt, sz := binary.Uvarint(b[n:])
+		if sz <= 0 || cnt > uint64(len(b)) {
+			return 0, false
+		}
+		n += sz
+		for i := uint64(0); i < cnt; i++ {
+			if n >= len(b) || (Kind(b[n]) != elem && Kind(b[n]) != KindInvalid) {
+				return 0, false
+			}
+			used, ok := ValueLen(b[n:])
+			if !ok {
+				return 0, false
+			}
+			n += used
+		}
+		return n, true
+	default:
+		return 0, false
+	}
+	if len(b) < n {
+		return 0, false
+	}
+	return n, true
+}
+
 // AppendEvent appends the full binary encoding of an event: type name,
 // system fields, then each user field value in schema order.
 func AppendEvent(dst []byte, e *Event) []byte {

@@ -15,24 +15,30 @@ import (
 // count > N/capacity is present.
 type SpaceSaving struct {
 	capacity int
-	counters map[string]*ssCounter
-	// buckets is a doubly linked list of distinct counts in ascending
-	// order; each bucket holds the set of counters at that count. This is
-	// the "stream summary" layout that gives O(1) increments.
-	minBucket *ssBucket
+	// heap is a binary min-heap of the tracked counters ordered by
+	// (count, item), so heap[0] is always the eviction victim: the
+	// minimum count, ties broken by the lexicographically smallest item.
+	// Identical streams therefore build identical summaries; a map-order
+	// victim would make replays (and Engine vs ShardedEngine
+	// comparisons) nondeterministic. An increment only moves its counter
+	// down the heap, O(log capacity), and allocates nothing.
+	heap []ssCounter
+	// pos maps each tracked item to its index in heap.
+	pos map[string]int
 }
 
 type ssCounter struct {
 	item   string
 	count  uint64
 	errVal uint64 // overestimation inherited at takeover
-	bucket *ssBucket
 }
 
-type ssBucket struct {
-	count      uint64
-	members    map[*ssCounter]struct{}
-	prev, next *ssBucket
+// before is the heap order: ascending count, then ascending item.
+func (c *ssCounter) before(o *ssCounter) bool {
+	if c.count != o.count {
+		return c.count < o.count
+	}
+	return c.item < o.item
 }
 
 // NewSpaceSaving creates a summary with the given counter capacity.
@@ -40,7 +46,7 @@ func NewSpaceSaving(capacity int) (*SpaceSaving, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("sketch: SpaceSaving capacity must be positive, got %d", capacity)
 	}
-	return &SpaceSaving{capacity: capacity, counters: make(map[string]*ssCounter, capacity)}, nil
+	return &SpaceSaving{capacity: capacity, pos: make(map[string]int, capacity)}, nil
 }
 
 // MustSpaceSaving is NewSpaceSaving that panics on error.
@@ -56,7 +62,7 @@ func MustSpaceSaving(capacity int) *SpaceSaving {
 func (s *SpaceSaving) Capacity() int { return s.capacity }
 
 // Len returns the number of currently tracked items.
-func (s *SpaceSaving) Len() int { return len(s.counters) }
+func (s *SpaceSaving) Len() int { return len(s.heap) }
 
 // Add increments item by one.
 func (s *SpaceSaving) Add(item string) { s.AddN(item, 1) }
@@ -66,98 +72,80 @@ func (s *SpaceSaving) AddN(item string, n uint64) {
 	if n == 0 {
 		return
 	}
-	if c, ok := s.counters[item]; ok {
-		s.bump(c, n)
+	if i, ok := s.pos[item]; ok {
+		s.bump(i, n)
 		return
 	}
-	if len(s.counters) < s.capacity {
-		c := &ssCounter{item: item, count: 0}
-		s.counters[item] = c
-		s.attach(c) // attach at count 0 bucket semantics via bump
-		s.bump(c, n)
+	s.insert(item, n)
+}
+
+// AddBytes increments the item spelled by b by one. A tracked item is
+// found without converting b to a string, so callers can format items
+// into a reused buffer; only an item that enters the summary is copied.
+func (s *SpaceSaving) AddBytes(b []byte) {
+	if i, ok := s.pos[string(b)]; ok {
+		s.bump(i, 1)
 		return
 	}
-	// Evict the minimum counter: the new item takes it over, inheriting
-	// its count as error.
-	victim := s.anyMinCounter()
-	delete(s.counters, victim.item)
-	victim.errVal = victim.count
-	victim.item = item
-	s.counters[item] = victim
-	s.bump(victim, n)
+	s.insert(string(b), 1)
 }
 
-// attach places a fresh counter into a zero-count staging bucket.
-func (s *SpaceSaving) attach(c *ssCounter) {
-	b := s.minBucket
-	if b == nil || b.count != 0 {
-		nb := &ssBucket{count: 0, members: make(map[*ssCounter]struct{})}
-		nb.next = s.minBucket
-		if s.minBucket != nil {
-			s.minBucket.prev = nb
+func (s *SpaceSaving) bump(i int, n uint64) {
+	s.heap[i].count += n
+	s.down(i)
+}
+
+// insert adds an untracked item with count n. With every counter
+// occupied, the minimum counter is evicted: the new item takes it over,
+// inheriting its count as error.
+func (s *SpaceSaving) insert(item string, n uint64) {
+	if len(s.heap) < s.capacity {
+		s.heap = append(s.heap, ssCounter{item: item, count: n})
+		s.pos[item] = len(s.heap) - 1
+		s.up(len(s.heap) - 1)
+		return
+	}
+	v := &s.heap[0]
+	delete(s.pos, v.item)
+	v.errVal = v.count
+	v.count += n
+	v.item = item
+	s.pos[item] = 0
+	s.down(0)
+}
+
+func (s *SpaceSaving) swap(i, j int) {
+	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
+	s.pos[s.heap[i].item] = i
+	s.pos[s.heap[j].item] = j
+}
+
+func (s *SpaceSaving) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.heap[i].before(&s.heap[p]) {
+			return
 		}
-		s.minBucket = nb
-		b = nb
+		s.swap(i, p)
+		i = p
 	}
-	b.members[c] = struct{}{}
-	c.bucket = b
 }
 
-// bump moves a counter up by n, maintaining the bucket list.
-func (s *SpaceSaving) bump(c *ssCounter, n uint64) {
-	old := c.bucket
-	newCount := c.count + n
-	c.count = newCount
-
-	// Find or create the destination bucket after old.
-	cur := old
-	for cur.next != nil && cur.next.count < newCount {
-		cur = cur.next
-	}
-	var dst *ssBucket
-	if cur.next != nil && cur.next.count == newCount {
-		dst = cur.next
-	} else {
-		dst = &ssBucket{count: newCount, members: make(map[*ssCounter]struct{})}
-		dst.prev = cur
-		dst.next = cur.next
-		if cur.next != nil {
-			cur.next.prev = dst
+func (s *SpaceSaving) down(i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(s.heap) && s.heap[l].before(&s.heap[m]) {
+			m = l
 		}
-		cur.next = dst
-	}
-	delete(old.members, c)
-	dst.members[c] = struct{}{}
-	c.bucket = dst
-	if len(old.members) == 0 {
-		s.unlink(old)
-	}
-}
-
-func (s *SpaceSaving) unlink(b *ssBucket) {
-	if b.prev != nil {
-		b.prev.next = b.next
-	} else {
-		s.minBucket = b.next
-	}
-	if b.next != nil {
-		b.next.prev = b.prev
-	}
-}
-
-// anyMinCounter picks the eviction victim from the minimum bucket: the
-// lexicographically smallest item, so identical streams always build
-// identical summaries. Map-order victim choice would make replays (and
-// Engine vs ShardedEngine comparisons) nondeterministic. The scan is
-// bounded by the summary capacity and only runs on eviction.
-func (s *SpaceSaving) anyMinCounter() *ssCounter {
-	var victim *ssCounter
-	for c := range s.minBucket.members {
-		if victim == nil || c.item < victim.item {
-			victim = c
+		if r := 2*i + 2; r < len(s.heap) && s.heap[r].before(&s.heap[m]) {
+			m = r
 		}
+		if m == i {
+			return
+		}
+		s.swap(i, m)
+		i = m
 	}
-	return victim // nil is unreachable when Len > 0
 }
 
 // Entry is one reported heavy hitter. Count overestimates the true count by
@@ -171,16 +159,11 @@ type Entry struct {
 // Top returns the k highest-count entries, ties broken by item for
 // determinism.
 func (s *SpaceSaving) Top(k int) []Entry {
-	all := make([]Entry, 0, len(s.counters))
-	for _, c := range s.counters {
-		all = append(all, Entry{Item: c.item, Count: c.count, Err: c.errVal})
+	all := make([]Entry, len(s.heap))
+	for i, c := range s.heap {
+		all[i] = Entry{Item: c.item, Count: c.count, Err: c.errVal}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count > all[j].Count
-		}
-		return all[i].Item < all[j].Item
-	})
+	sortEntries(all)
 	if k < len(all) {
 		all = all[:k]
 	}
@@ -189,11 +172,11 @@ func (s *SpaceSaving) Top(k int) []Entry {
 
 // Count returns the (over)estimate for an item and whether it is tracked.
 func (s *SpaceSaving) Count(item string) (uint64, bool) {
-	c, ok := s.counters[item]
+	i, ok := s.pos[item]
 	if !ok {
 		return 0, false
 	}
-	return c.count, true
+	return s.heap[i].count, true
 }
 
 // Merge folds another summary into s using the mergeable-summaries
@@ -211,11 +194,11 @@ func (s *SpaceSaving) Merge(o *SpaceSaving) {
 	}
 	minS := s.minInheritance()
 	minO := o.minInheritance()
-	merged := make(map[string]Entry, len(s.counters)+len(o.counters))
-	for _, c := range s.counters {
+	merged := make(map[string]Entry, len(s.heap)+len(o.heap))
+	for _, c := range s.heap {
 		merged[c.item] = Entry{Item: c.item, Count: c.count, Err: c.errVal}
 	}
-	for _, c := range o.counters {
+	for _, c := range o.heap {
 		if e, ok := merged[c.item]; ok {
 			e.Count += c.count
 			e.Err += c.errVal
@@ -226,7 +209,7 @@ func (s *SpaceSaving) Merge(o *SpaceSaving) {
 	}
 	if minO > 0 {
 		for item, e := range merged {
-			if _, inO := o.counters[item]; !inO {
+			if _, inO := o.pos[item]; !inO {
 				e.Count += minO
 				e.Err += minO
 				merged[item] = e
@@ -237,49 +220,44 @@ func (s *SpaceSaving) Merge(o *SpaceSaving) {
 	for _, e := range merged {
 		all = append(all, e)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Count != all[j].Count {
-			return all[i].Count > all[j].Count
-		}
-		return all[i].Item < all[j].Item
-	})
+	sortEntries(all)
 	if len(all) > s.capacity {
 		all = all[:s.capacity]
 	}
 	s.rebuild(all)
 }
 
+// sortEntries orders entries by descending count, ties by item.
+func sortEntries(all []Entry) {
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Count != all[j].Count {
+			return all[i].Count > all[j].Count
+		}
+		return all[i].Item < all[j].Item
+	})
+}
+
 // minInheritance returns the count an untracked item could have reached
 // in this summary: the minimum tracked count when at capacity, else 0
 // (a below-capacity summary tracks everything it has ever seen).
 func (s *SpaceSaving) minInheritance() uint64 {
-	if len(s.counters) < s.capacity || s.minBucket == nil {
+	if len(s.heap) < s.capacity {
 		return 0
 	}
-	return s.minBucket.count
+	return s.heap[0].count
 }
 
-// rebuild replaces the summary's contents with entries sorted by
-// descending count, reconstructing the ascending bucket list.
+// rebuild replaces the summary's contents with entries, in any order,
+// and restores the heap order.
 func (s *SpaceSaving) rebuild(entries []Entry) {
-	s.counters = make(map[string]*ssCounter, s.capacity)
-	s.minBucket = nil
-	var prev *ssBucket
-	for i := len(entries) - 1; i >= 0; i-- {
-		e := entries[i]
-		c := &ssCounter{item: e.Item, count: e.Count, errVal: e.Err}
-		s.counters[e.Item] = c
-		if prev == nil || prev.count != e.Count {
-			b := &ssBucket{count: e.Count, members: make(map[*ssCounter]struct{}), prev: prev}
-			if prev != nil {
-				prev.next = b
-			} else {
-				s.minBucket = b
-			}
-			prev = b
-		}
-		prev.members[c] = struct{}{}
-		c.bucket = prev
+	s.heap = make([]ssCounter, len(entries))
+	s.pos = make(map[string]int, s.capacity)
+	for i, e := range entries {
+		s.heap[i] = ssCounter{item: e.Item, count: e.Count, errVal: e.Err}
+		s.pos[e.Item] = i
+	}
+	for i := len(s.heap)/2 - 1; i >= 0; i-- {
+		s.down(i)
 	}
 }
 
@@ -287,10 +265,10 @@ func (s *SpaceSaving) rebuild(entries []Entry) {
 // tracked entry in descending-count order (ties by item). A SpaceSaving's
 // observable behavior — counts, eviction victims, merge inheritance — is
 // fully determined by its (item, count, err) multiset plus capacity, so
-// this encoding is lossless even though the bucket list is not written.
+// this encoding is lossless even though the heap layout is not written.
 func (s *SpaceSaving) AppendBinary(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(s.capacity))
-	entries := s.Top(len(s.counters))
+	entries := s.Top(len(s.heap))
 	dst = binary.AppendUvarint(dst, uint64(len(entries)))
 	for _, e := range entries {
 		dst = binary.AppendUvarint(dst, uint64(len(e.Item)))
@@ -303,7 +281,7 @@ func (s *SpaceSaving) AppendBinary(dst []byte) []byte {
 
 // DecodeSpaceSaving parses a summary serialized by AppendBinary, returning
 // bytes consumed. The decoded summary behaves identically to the encoded
-// one: rebuild reconstructs the canonical bucket layout from the entries.
+// one: rebuild reconstructs the heap from the entries.
 func DecodeSpaceSaving(b []byte) (*SpaceSaving, int, error) {
 	capacity, n := binary.Uvarint(b)
 	if n <= 0 {
@@ -347,6 +325,9 @@ func DecodeSpaceSaving(b []byte) (*SpaceSaving, int, error) {
 	}
 	if len(entries) > 0 {
 		s.rebuild(entries)
+		if len(s.pos) != len(s.heap) {
+			return nil, 0, fmt.Errorf("sketch: decode SpaceSaving: duplicate item")
+		}
 	}
 	return s, n, nil
 }
@@ -355,7 +336,7 @@ func DecodeSpaceSaving(b []byte) (*SpaceSaving, int, error) {
 // additions routed to tracked items).
 func (s *SpaceSaving) TotalCount() uint64 {
 	var t uint64
-	for _, c := range s.counters {
+	for _, c := range s.heap {
 		t += c.count
 	}
 	return t

@@ -24,7 +24,9 @@ func CloneBatch(b TupleBatch) TupleBatch {
 		out.Tuples[i] = b.Tuples[i]
 		if n := len(b.Tuples[i].Values); n > 0 {
 			vals = append(vals, b.Tuples[i].Values...)
-			out.Tuples[i].Values = vals[len(vals)-n:]
+			// Capped, so an append to one tuple's values cannot
+			// overwrite the next tuple's.
+			out.Tuples[i].Values = vals[len(vals)-n : len(vals) : len(vals)]
 		}
 	}
 	return out

@@ -33,6 +33,17 @@ func (w *writer) strs(ss []string) {
 		w.str(s)
 	}
 }
+func (w *writer) tuples(ts []Tuple) {
+	w.uvarint(uint64(len(ts)))
+	for _, tp := range ts {
+		w.u64(tp.RequestID)
+		w.i64(tp.TsNanos)
+		w.uvarint(uint64(len(tp.Values)))
+		for _, v := range tp.Values {
+			w.value(v)
+		}
+	}
+}
 func (w *writer) value(v event.Value) { w.buf = event.AppendValue(w.buf, v) }
 func (w *writer) node(n expr.Node) {
 	if w.err != nil {
@@ -87,6 +98,11 @@ type reader struct {
 	buf []byte
 	pos int
 	err error
+	// last, when non-nil, is a connection's most recently decoded
+	// string: an equal string is returned as is instead of copied again,
+	// so the host id every batch on a data connection repeats is
+	// allocated once per connection, not once per frame.
+	last *string
 }
 
 func (r *reader) fail(msg string) {
@@ -160,9 +176,15 @@ func (r *reader) str() string {
 		r.fail("short string")
 		return ""
 	}
-	s := string(r.buf[r.pos : r.pos+int(ln)])
+	b := r.buf[r.pos : r.pos+int(ln)]
 	r.pos += int(ln)
-	return s
+	if r.last == nil {
+		return string(b)
+	}
+	if string(b) != *r.last {
+		*r.last = string(b)
+	}
+	return *r.last
 }
 
 func (r *reader) strs() []string {
@@ -170,7 +192,7 @@ func (r *reader) strs() []string {
 	if r.err != nil {
 		return nil
 	}
-	if n > uint64(len(r.buf)) {
+	if !fits(r, n, 1) {
 		r.fail("implausible string count")
 		return nil
 	}
@@ -179,6 +201,98 @@ func (r *reader) strs() []string {
 		out = append(out, r.str())
 	}
 	return out
+}
+
+// Minimum encoded sizes of repeated elements, for fits: a tuple is its
+// request id and timestamp plus a value count; a query summary is its
+// fixed fields plus two one-byte length prefixes; a stream stat is its
+// fixed fields plus a one-byte host id length.
+const (
+	minTupleBytes        = 8 + 8 + 1
+	minQuerySummaryBytes = 8 + 1 + 1 + 4 + 8 + 7*8
+	minStreamStatBytes   = 1 + 1 + 4*8 + 1 + 8 + 1 + 2*8
+)
+
+// fits reports whether the unread payload can hold n elements of at
+// least minBytes encoded bytes each. Every count is checked this way
+// before anything is allocated for it, so a lying length field costs
+// nothing: the guard is against the bytes left, not the whole payload.
+func fits(r *reader, n, minBytes uint64) bool {
+	return n <= uint64(len(r.buf)-r.pos)/minBytes
+}
+
+// tuples decodes a tuple list. A first pass over the encoded tuples
+// (scanTuples) validates their framing and counts their values without
+// allocating; then every tuple's Values is a full-slice-expression view
+// of one per-batch arena sized exactly to that count, so an append to
+// one tuple's Values reallocates instead of overwriting the next
+// tuple's. Two allocations per batch however many tuples it holds, plus
+// one per string value.
+func (r *reader) tuples() []Tuple {
+	n := r.uvarint()
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	if !fits(r, n, minTupleBytes) {
+		r.fail("implausible tuple count")
+		return nil
+	}
+	nvals, ok := scanTuples(r.buf[r.pos:], n)
+	if !ok {
+		r.fail("malformed tuple")
+		return nil
+	}
+	out := make([]Tuple, n)
+	var arena []event.Value
+	if nvals > 0 {
+		arena = make([]event.Value, nvals)
+	}
+	for i := range out {
+		tp := &out[i]
+		tp.RequestID = r.u64()
+		tp.TsNanos = r.i64()
+		nv := r.uvarint()
+		if nv > uint64(len(arena)) {
+			r.fail("implausible value count")
+			return nil
+		}
+		vals := arena[:nv:nv]
+		arena = arena[nv:]
+		for j := range vals {
+			vals[j] = r.value()
+		}
+		if nv > 0 {
+			tp.Values = vals
+		}
+	}
+	return out
+}
+
+// scanTuples walks n encoded tuples at the start of b and returns how
+// many values they hold, or false when b cannot hold them.
+func scanTuples(b []byte, n uint64) (uint64, bool) {
+	var vals uint64
+	pos := 0
+	for i := uint64(0); i < n; i++ {
+		if len(b)-pos < minTupleBytes {
+			return 0, false
+		}
+		pos += 16
+		nv, sz := binary.Uvarint(b[pos:])
+		if sz <= 0 || nv > uint64(len(b)-pos) {
+			return 0, false
+		}
+		pos += sz
+		for j := uint64(0); j < nv; j++ {
+			used, ok := event.ValueLen(b[pos:])
+			if !ok {
+				return 0, false
+			}
+			pos += used
+		}
+		vals += nv
+	}
+	return vals, true
 }
 
 func (r *reader) value() event.Value {
@@ -324,15 +438,7 @@ func AppendEncode(dst []byte, m Message) ([]byte, error) {
 		w.u64(t.QueryID)
 		w.str(t.HostID)
 		w.u8(t.TypeIdx)
-		w.uvarint(uint64(len(t.Tuples)))
-		for _, tp := range t.Tuples {
-			w.u64(tp.RequestID)
-			w.i64(tp.TsNanos)
-			w.uvarint(uint64(len(tp.Values)))
-			for _, v := range tp.Values {
-				w.value(v)
-			}
-		}
+		w.tuples(t.Tuples)
 		w.u64(t.MatchedTotal)
 		w.u64(t.SampledTotal)
 		w.u64(t.QueueDrops)
@@ -370,12 +476,17 @@ func AppendEncode(dst []byte, m Message) ([]byte, error) {
 	return w.buf, nil
 }
 
-// Decode parses a tagged payload produced by Encode.
-func Decode(b []byte) (Message, error) {
+// Decode parses a tagged payload produced by Encode. Every string and
+// byte slice in the result is a copy: the message never aliases b.
+func Decode(b []byte) (Message, error) { return decode(b, nil) }
+
+// decode is Decode with a connection's last-string cache (reader.last);
+// last is nil for a one-off decode.
+func decode(b []byte, last *string) (Message, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("transport: decode: empty payload")
 	}
-	r := &reader{buf: b, pos: 1}
+	r := &reader{buf: b, pos: 1, last: last}
 	var m Message
 	switch b[0] {
 	case tagSubmitQuery:
@@ -393,14 +504,14 @@ func Decode(b []byte) (Message, error) {
 			Columns: r.strs(),
 		}
 		nRows := r.uvarint()
-		if nRows > uint64(len(b)) {
+		if !fits(r, nRows, 1) {
 			r.fail("implausible row count")
 		}
 		if r.err == nil {
 			rw.Rows = make([][]event.Value, 0, nRows)
 			for i := uint64(0); i < nRows && r.err == nil; i++ {
 				nv := r.uvarint()
-				if nv > uint64(len(b)) {
+				if !fits(r, nv, 1) {
 					r.fail("implausible value count")
 					break
 				}
@@ -413,7 +524,7 @@ func Decode(b []byte) (Message, error) {
 		}
 		rw.Approx = r.boolv()
 		nb := r.uvarint()
-		if nb > uint64(len(b)) {
+		if !fits(r, nb, 8) {
 			r.fail("implausible bound count")
 		}
 		if r.err == nil {
@@ -429,7 +540,7 @@ func Decode(b []byte) (Message, error) {
 		rw.Degraded = r.boolv()
 		rw.BudgetShed = r.boolv()
 		ns := r.uvarint()
-		if ns > uint64(len(b)) {
+		if !fits(r, ns, minStreamStatBytes) {
 			r.fail("implausible stream count")
 		}
 		if r.err == nil && ns > 0 {
@@ -458,27 +569,7 @@ func Decode(b []byte) (Message, error) {
 	case tagDataHello:
 		m = DataHello{HostID: r.str()}
 	case tagTupleBatch:
-		tb := TupleBatch{QueryID: r.u64(), HostID: r.str(), TypeIdx: r.u8()}
-		n := r.uvarint()
-		if n > uint64(len(b)) {
-			r.fail("implausible tuple count")
-		}
-		if r.err == nil {
-			tb.Tuples = make([]Tuple, 0, n)
-			for i := uint64(0); i < n && r.err == nil; i++ {
-				tp := Tuple{RequestID: r.u64(), TsNanos: r.i64()}
-				nv := r.uvarint()
-				if nv > uint64(len(b)) {
-					r.fail("implausible value count")
-					break
-				}
-				tp.Values = make([]event.Value, 0, nv)
-				for j := uint64(0); j < nv; j++ {
-					tp.Values = append(tp.Values, r.value())
-				}
-				tb.Tuples = append(tb.Tuples, tp)
-			}
-		}
+		tb := TupleBatch{QueryID: r.u64(), HostID: r.str(), TypeIdx: r.u8(), Tuples: r.tuples()}
 		tb.MatchedTotal = r.u64()
 		tb.SampledTotal = r.u64()
 		tb.QueueDrops = r.u64()
@@ -494,7 +585,7 @@ func Decode(b []byte) (Message, error) {
 	case tagQueryList:
 		ql := QueryList{}
 		n := r.uvarint()
-		if n > uint64(len(b)) {
+		if !fits(r, n, minQuerySummaryBytes) {
 			r.fail("implausible query count")
 		}
 		if r.err == nil {

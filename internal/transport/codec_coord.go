@@ -1,10 +1,17 @@
 package transport
 
-import "scrub/internal/event"
-
 // Codec for the coordination messages (msg_coord.go). AppendEncode and
 // Decode dispatch here from their default branches so the base-protocol
 // hot path stays untouched.
+
+// Minimum encoded sizes of the coordination lists' elements, for fits:
+// fixed fields plus one byte per length prefix.
+const (
+	minPartialBytes     = 8 + 8 + 1
+	minShardStatusBytes = 4 + 1 + 1 + 8 + 4 + 8
+	minRepEntryBytes    = 1 + minShardStartBytes + 4 + 8 + 8 + 4 + 1
+	minShardStartBytes  = 3*8 + 1 + 3*8 + 2*4 + 2*8 + 2*4 + 2*8
+)
 
 func (w *writer) u64s(xs []uint64) {
 	w.uvarint(uint64(len(xs)))
@@ -18,7 +25,7 @@ func (r *reader) u64s() []uint64 {
 	if r.err != nil {
 		return nil
 	}
-	if n > uint64(len(r.buf)) {
+	if !fits(r, n, 8) {
 		r.fail("implausible u64 count")
 		return nil
 	}
@@ -66,7 +73,7 @@ func (r *reader) windowPartials() []WindowPartial {
 	if r.err != nil {
 		return nil
 	}
-	if n > uint64(len(r.buf)) {
+	if !fits(r, n, minPartialBytes) {
 		r.fail("implausible partial count")
 		return nil
 	}
@@ -142,7 +149,7 @@ func (r *reader) repEntries() []RepEntry {
 	if r.err != nil {
 		return nil
 	}
-	if n > uint64(len(r.buf)) {
+	if !fits(r, n, minRepEntryBytes) {
 		r.fail("implausible entry count")
 		return nil
 	}
@@ -170,15 +177,7 @@ func appendEncodeCoord(w *writer, m Message) bool {
 		w.u64(t.QueryID)
 		w.str(t.HostID)
 		w.u8(t.TypeIdx)
-		w.uvarint(uint64(len(t.Tuples)))
-		for _, tp := range t.Tuples {
-			w.u64(tp.RequestID)
-			w.i64(tp.TsNanos)
-			w.uvarint(uint64(len(tp.Values)))
-			for _, v := range tp.Values {
-				w.value(v)
-			}
-		}
+		w.tuples(t.Tuples)
 	case ShardBatchAck:
 		w.u64(t.Seq)
 		w.bool(t.Known)
@@ -292,28 +291,7 @@ func decodeCoord(tag byte, r *reader) (Message, bool) {
 		sb := ShardSubBatch{
 			Seq: r.u64(), QueryID: r.u64(), HostID: r.str(), TypeIdx: r.u8(),
 		}
-		n := r.uvarint()
-		if n > uint64(len(r.buf)) {
-			r.fail("implausible tuple count")
-		}
-		if r.err == nil && n > 0 {
-			sb.Tuples = make([]Tuple, 0, n)
-			for i := uint64(0); i < n && r.err == nil; i++ {
-				tp := Tuple{RequestID: r.u64(), TsNanos: r.i64()}
-				nv := r.uvarint()
-				if nv > uint64(len(r.buf)) {
-					r.fail("implausible value count")
-					break
-				}
-				if nv > 0 {
-					tp.Values = make([]event.Value, 0, nv)
-					for j := uint64(0); j < nv; j++ {
-						tp.Values = append(tp.Values, r.value())
-					}
-				}
-				sb.Tuples = append(sb.Tuples, tp)
-			}
-		}
+		sb.Tuples = r.tuples()
 		return sb, true
 	case tagShardBatchAck:
 		return ShardBatchAck{
@@ -360,7 +338,7 @@ func decodeCoord(tag byte, r *reader) (Message, bool) {
 			EvictedStreams: r.u32(),
 		}
 		n := r.uvarint()
-		if n > uint64(len(r.buf)) {
+		if !fits(r, n, minShardStatusBytes) {
 			r.fail("implausible shard count")
 		}
 		if r.err == nil && n > 0 {

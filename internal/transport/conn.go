@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,6 +17,10 @@ import (
 // MaxFrame bounds a single protocol frame. Batches larger than this are an
 // agent bug (the shipper bounds batch sizes well below it).
 const MaxFrame = 16 << 20
+
+// maxKeptFrame bounds the receive buffer a connection keeps between
+// frames; a rare larger frame is read into memory the GC reclaims.
+const maxKeptFrame = 1 << 20
 
 // ConnMetrics aggregates a connection's (or a set of connections')
 // transport-level accounting: frames and wire bytes in each direction and
@@ -48,11 +53,20 @@ func NewConnMetrics(reg *obs.Registry, labels ...obs.Label) *ConnMetrics {
 // Conn is a framed, message-oriented connection. Send is safe for
 // concurrent use; Recv must be driven from one goroutine.
 type Conn struct {
-	nc   net.Conn
-	br   *bufio.Reader
-	wmu  sync.Mutex
-	bw   *bufio.Writer
-	enc  []byte // reusable encode buffer, guarded by wmu
+	nc  net.Conn
+	br  *bufio.Reader
+	wmu sync.Mutex
+	bw  *bufio.Writer
+	enc []byte // reusable encode buffer, guarded by wmu
+	// frame is the reusable receive buffer, owned by the Recv goroutine.
+	// Reusing it is safe because Decode copies every string and byte
+	// slice it returns: no decoded message aliases the frame.
+	frame []byte
+	// lastStr is the Recv goroutine's last-string cache (reader.last).
+	lastStr string
+	// rhdr holds the frame header Recv reads; a local array would escape
+	// through io.ReadFull and cost an allocation per frame.
+	rhdr [4]byte
 	met  atomic.Pointer[ConnMetrics]
 	once sync.Once
 }
@@ -133,34 +147,36 @@ func (c *Conn) Send(m Message) error {
 
 // Recv blocks for the next message.
 func (c *Conn) Recv() (Message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(c.br, c.rhdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(c.rhdr[:])
 	if n == 0 || n > MaxFrame {
 		return nil, fmt.Errorf("transport: bad frame length %d", n)
 	}
 	// Read incrementally rather than trusting the length prefix with one
-	// up-front allocation: a corrupt or hostile header claiming MaxFrame
-	// costs at most 64KiB before the short read surfaces.
-	payload := make([]byte, min(int(n), 64<<10))
-	if _, err := io.ReadFull(c.br, payload); err != nil {
-		return nil, err
-	}
+	// up-front allocation: each step fills the room the buffer already
+	// has, or 64KiB, or as much again as has arrived (at most 1MiB), so a
+	// corrupt or hostile header claiming MaxFrame costs at most about
+	// twice the bytes actually sent, plus 64KiB, before the short read
+	// surfaces. Steady-state frames fit the reused buffer in one step.
+	payload := c.frame[:0]
 	for len(payload) < int(n) {
-		step := min(int(n)-len(payload), 1<<20)
-		payload = append(payload, make([]byte, step)...)
+		step := min(int(n)-len(payload), max(cap(payload)-len(payload), 64<<10, min(len(payload), 1<<20)))
+		payload = slices.Grow(payload, step)[:len(payload)+step]
 		if _, err := io.ReadFull(c.br, payload[len(payload)-step:]); err != nil {
 			return nil, err
 		}
 	}
+	if cap(payload) <= maxKeptFrame {
+		c.frame = payload
+	}
 	met := c.met.Load()
 	if met == nil {
-		return Decode(payload)
+		return decode(payload, &c.lastStr)
 	}
 	t0 := time.Now()
-	m, err := Decode(payload)
+	m, err := decode(payload, &c.lastStr)
 	if met.DecodeNs != nil {
 		met.DecodeNs.Add(uint64(time.Since(t0)))
 	}

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"scrub/internal/event"
 )
 
 // TestFuzzSeedsCoverAllTags pins the fuzz corpus to the wire protocol:
@@ -62,6 +64,19 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0})                                                             // tag 0 is unused
 	f.Add([]byte{255, 1, 2, 3})                                                  // garbage tag
 	f.Add([]byte{tagTupleBatch, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}) // implausible counts
+	// Mixed value counts: the tuples' Values are adjacent views of one
+	// decode arena, which the isolation check below probes.
+	mixed, err := Encode(TupleBatch{QueryID: 1, HostID: "h", Tuples: []Tuple{
+		{RequestID: 1, Values: []event.Value{event.Int(1), event.Str("a"), event.Float(2)}},
+		{RequestID: 2},
+		{RequestID: 3, Values: []event.Value{event.Int(3)}},
+		{RequestID: 4, Values: []event.Value{event.Str("b"), event.Invalid}},
+		{RequestID: 5},
+	}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(mixed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
 		if err != nil {
@@ -78,7 +93,28 @@ func FuzzDecode(f *testing.F) {
 		if reflect.TypeOf(m) != reflect.TypeOf(m2) {
 			t.Fatalf("round trip changed type: %T -> %T", m, m2)
 		}
+		// Appending to one tuple's Values must never write into the
+		// next tuple's.
+		ts := tuplesOf(m)
+		for i := 0; i+1 < len(ts); i++ {
+			next := append([]event.Value(nil), ts[i+1].Values...)
+			ts[i].Values = append(ts[i].Values, event.Int(-1))
+			if !reflect.DeepEqual(ts[i+1].Values, next) {
+				t.Fatalf("appending to tuple %d's values overwrote tuple %d's", i, i+1)
+			}
+		}
 	})
+}
+
+// tuplesOf returns a decoded message's tuples, if it carries any.
+func tuplesOf(m Message) []Tuple {
+	switch t := m.(type) {
+	case TupleBatch:
+		return t.Tuples
+	case ShardSubBatch:
+		return t.Tuples
+	}
+	return nil
 }
 
 // byteConn adapts a byte buffer to net.Conn so Conn.Recv can be driven

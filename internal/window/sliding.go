@@ -69,6 +69,7 @@ type SlidingManager[S any] struct {
 	hasMark   bool
 	lateDrops uint64
 	scratch   []int64
+	got       []S // GetAll's reused result
 }
 
 // NewSlidingManager builds a manager; see NewManager for the lateness and
@@ -94,26 +95,36 @@ func NewSlidingManager[S any](size, slide, lateness time.Duration, newState func
 
 // GetAll returns the states of every window covering ts, creating them as
 // needed. Windows already closed by the watermark are skipped and counted
-// once per event in LateDrops when every covering window is gone.
+// once per event in LateDrops when every covering window is gone. The
+// returned slice is reused: it is valid until the next GetAll call.
+//
+//scrub:hotpath
 func (m *SlidingManager[S]) GetAll(ts int64) []S {
 	m.scratch = m.assigner.Starts(ts, m.scratch[:0])
-	out := make([]S, 0, len(m.scratch))
+	m.got = m.got[:0]
 	for _, start := range m.scratch {
 		if s, ok := m.open[start]; ok {
-			out = append(out, s)
+			m.got = append(m.got, s)
 			continue
 		}
 		if m.hasMark && start+m.assigner.size+m.lateness <= m.watermark {
 			continue // this window already closed
 		}
-		s := m.newState(start, start+m.assigner.size)
-		m.open[start] = s
-		out = append(out, s)
+		m.got = append(m.got, m.openWindow(start))
 	}
-	if len(out) == 0 {
+	if len(m.got) == 0 {
 		m.lateDrops++
 	}
-	return out
+	return m.got
+}
+
+// openWindow creates and registers the state of the window at start.
+//
+//scrub:allowalloc(new window: state construction and map growth, once per window)
+func (m *SlidingManager[S]) openWindow(start int64) S {
+	s := m.newState(start, start+m.assigner.size)
+	m.open[start] = s
+	return s
 }
 
 // Observe advances the watermark and returns closed windows in start
@@ -137,6 +148,7 @@ func (m *SlidingManager[S]) ForceBefore(bound int64) []Closed[S] {
 }
 
 func (m *SlidingManager[S]) closeBefore(bound int64) []Closed[S] {
+	clear(m.got) // a closed window's state must not stay reachable from here
 	var out []Closed[S]
 	for start, s := range m.open {
 		end := start + m.assigner.size
