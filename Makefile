@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet ci bench bench-p1 bench-ps bench-smoke bench-g1 fuzz-smoke chaos-soak metrics-smoke difftest difftest-soak multinode-smoke failover-smoke
+.PHONY: build test race vet ci bench bench-p1 bench-ps bench-g1 fuzz-smoke chaos-soak metrics-smoke difftest difftest-soak multinode-smoke failover-smoke
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,8 @@ vet:
 ci:
 	./scripts/ci.sh
 
-# Full evaluation sweep (writes BENCH_P1.json alongside the tables).
+# Full evaluation sweep: prints every experiment's table. Performance
+# claims are measured with perfbench (BENCHMARK.json), not these tables.
 bench:
 	$(GO) run ./cmd/benchrunner
 
@@ -34,20 +35,11 @@ bench-p1:
 	$(GO) run ./cmd/benchrunner -only P1
 
 # Query-scale sweep only: shared-index dispatch at up to 256 concurrent
-# queries, overlap vs distinct predicate mixes (writes BENCH_P2.json).
+# queries, overlap vs distinct predicate mixes.
 bench-ps:
-	$(GO) run ./cmd/benchrunner -only PS -p1json ''
+	$(GO) run ./cmd/benchrunner -only PS
 
-# Tiny PS sweep asserting the BENCH_P2.json pipeline works end to end;
-# writes to a scratch file so the committed full-scale sweep is never
-# clobbered by a smoke pass.
-bench-smoke:
-	@tmp=$$(mktemp) && \
-	$(GO) run ./cmd/benchrunner -only PS -quick -p1json '' -p2json "$$tmp" >/dev/null && \
-	test -s "$$tmp" && rm -f "$$tmp" && echo "bench-smoke: BENCH_P2 pipeline OK"
-
-# Governor comparison: the same expensive query unbounded vs budgeted
-# (writes BENCH_G1.json).
+# Governor comparison: the same expensive query unbounded vs budgeted.
 bench-g1:
 	$(GO) run ./cmd/benchrunner -only G1
 
@@ -67,7 +59,7 @@ fuzz-smoke:
 
 # Fixed-seed chaos soak (quick mode) under the race detector.
 chaos-soak:
-	$(GO) run -race ./cmd/benchrunner -only C1 -quick -p1json ''
+	$(GO) run -race ./cmd/benchrunner -only C1 -quick
 
 # Differential-oracle sweep: 200 seeded cluster simulations (two full
 # family × shards × mode coverage cycles) cross-checking Engine,

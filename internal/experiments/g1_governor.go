@@ -20,15 +20,15 @@ import (
 // degradation ladder (rate halvings, then shed), so both numbers must
 // drop while the unbounded run pays full freight.
 type G1Config struct {
-	Requests  int   `json:"requests"`   // requests per measurement; default 30000
-	LineItems int   `json:"line_items"` // default 150
-	Seed      int64 `json:"seed"`
+	Requests  int // requests per measurement; default 30000
+	LineItems int // default 150
+	Seed      int64
 	// BudgetBytesPerSec is the BUDGET BYTES value for the budgeted run.
 	// Default 4096 — far below what the wide query ships unbounded, so
 	// the ladder bottoms out and the query sheds within the run.
-	BudgetBytesPerSec float64 `json:"budget_bytes_per_sec"`
+	BudgetBytesPerSec float64
 	// ReferenceRequestNs: see P1Config. Default 10ms.
-	ReferenceRequestNs float64 `json:"reference_request_ns"`
+	ReferenceRequestNs float64
 }
 
 func (c *G1Config) fillDefaults() {
@@ -51,20 +51,20 @@ func (c *G1Config) fillDefaults() {
 
 // G1Side is one measured configuration.
 type G1Side struct {
-	Label    string  `json:"label"`
-	NsPerReq float64 `json:"ns_per_request"`
-	AddedNs  float64 `json:"added_ns"` // vs the zero-query baseline
-	SLOPct   float64 `json:"slo_pct"`  // AddedNs vs the production request budget
-	Bytes    uint64  `json:"bytes_shipped"`
-	Shed     bool    `json:"shed"` // did the governor shed the query?
+	Label    string
+	NsPerReq float64
+	AddedNs  float64 // vs the zero-query baseline
+	SLOPct   float64 // AddedNs vs the production request budget
+	Bytes    uint64
+	Shed     bool // did the governor shed the query?
 }
 
-// G1Result carries the comparison; the JSON form goes to BENCH_G1.json.
+// G1Result carries the comparison.
 type G1Result struct {
-	Config     G1Config `json:"config"`
-	BaselineNs float64  `json:"baseline_ns_per_request"`
-	Unbounded  G1Side   `json:"unbounded"`
-	Budgeted   G1Side   `json:"budgeted"`
+	Config     G1Config
+	BaselineNs float64
+	Unbounded  G1Side
+	Budgeted   G1Side
 }
 
 // g1Query is the expensive shape: raw (no aggregation), wide projection —

@@ -19,23 +19,23 @@ import (
 // Scrub queries; the per-request processing cost is compared with the
 // zero-query baseline.
 type P1Config struct {
-	Requests   int   `json:"requests"`    // requests per measurement; default 30000
-	LineItems  int   `json:"line_items"`  // default 150
-	QuerySweep []int `json:"query_sweep"` // concurrent query counts; default {0,1,2,4,8,16,32}
+	Requests   int   // requests per measurement; default 30000
+	LineItems  int   // default 150
+	QuerySweep []int // concurrent query counts; default {0,1,2,4,8,16,32}
 	// Reps is how many times each sweep point is measured; the reported
 	// ns/request is the median. Single-shot timing of a ~10µs request is
 	// noisy enough to invert adjacent sweep points (a historical
-	// BENCH_P1.json had 8 queries measuring cheaper than 4); the median of
+	// P1 sweep had 8 queries measuring cheaper than 4); the median of
 	// ≥3 reps makes the trajectory trustworthy. Default 3.
-	Reps int   `json:"reps"`
-	Seed int64 `json:"seed"`
+	Reps int
+	Seed int64
 	// ReferenceRequestNs is the production request budget the paper's
 	// percentages are relative to: Turn's whole bid transaction completes
 	// "in under 20 milliseconds" (§7). The simulator's request costs ~10µs
 	// (no ML scoring, no real network), which inflates relative overhead
 	// ~1000×; the absolute added ns/request is the transferable number.
 	// Default 10ms.
-	ReferenceRequestNs float64 `json:"reference_request_ns"`
+	ReferenceRequestNs float64
 }
 
 func (c *P1Config) fillDefaults() {
@@ -61,21 +61,19 @@ func (c *P1Config) fillDefaults() {
 
 // P1Point is one sweep measurement.
 type P1Point struct {
-	Queries     int     `json:"queries"`
-	NsPerReq    float64 `json:"ns_per_request"`
-	AddedNs     float64 `json:"added_ns"`      // absolute Scrub cost per request vs baseline
-	OverheadPct float64 `json:"overhead_pct"`  // vs the (simulated) 0-query baseline
+	Queries     int
+	NsPerReq    float64
+	AddedNs     float64 // absolute Scrub cost per request vs baseline
+	OverheadPct float64 // vs the (simulated) 0-query baseline
 	// SLOPct is AddedNs relative to the production request budget —
 	// the number comparable with the paper's ≤2.5%.
-	SLOPct float64 `json:"slo_pct"`
+	SLOPct float64
 }
 
-// P1Result carries the sweep. The JSON form is what cmd/benchrunner
-// writes to BENCH_P1.json so the perf trajectory is machine-trackable
-// across PRs.
+// P1Result carries the sweep.
 type P1Result struct {
-	Config P1Config  `json:"config"`
-	Points []P1Point `json:"points"`
+	Config P1Config
+	Points []P1Point
 }
 
 // queryTemplates are the shapes troubleshooters run concurrently; the

@@ -19,24 +19,22 @@ import (
 //     two predicates share a node. This is the adversarial no-sharing
 //     bound — and the regression guard showing the shared-index
 //     machinery costs no more than the old per-query loop when sharing
-//     gives nothing (compare with BENCH_P1 at the same query count).
-//
-// The sweep is written to BENCH_P2.json by cmd/benchrunner.
+//     gives nothing (compare with P1 at the same query count).
 
 // PSConfig parametrizes the query-scale sweep.
 type PSConfig struct {
-	Requests   int   `json:"requests"`    // requests per measurement; default 30000
-	LineItems  int   `json:"line_items"`  // default 150
-	QuerySweep []int `json:"query_sweep"` // default {0,1,2,4,8,16,32,64,128,256}
+	Requests   int   // requests per measurement; default 30000
+	LineItems  int   // default 150
+	QuerySweep []int // default {0,1,2,4,8,16,32,64,128,256}
 	// Reps per sweep point; the reported ns/request is the median (see
 	// P1Config.Reps). Default 3.
-	Reps int   `json:"reps"`
-	Seed int64 `json:"seed"` // default 9303
+	Reps int
+	Seed int64 // default 9303
 	// OverlapPreds is the number of distinct predicates the overlap mix
 	// cycles through. Default 16.
-	OverlapPreds int `json:"overlap_preds"`
+	OverlapPreds int
 	// ReferenceRequestNs: see P1Config. Default 10ms.
-	ReferenceRequestNs float64 `json:"reference_request_ns"`
+	ReferenceRequestNs float64
 }
 
 func (c *PSConfig) fillDefaults() {
@@ -65,14 +63,14 @@ func (c *PSConfig) fillDefaults() {
 
 // PSMix is one predicate mix's sweep (points reuse the P1 shape).
 type PSMix struct {
-	Name   string    `json:"name"`
-	Points []P1Point `json:"points"`
+	Name   string
+	Points []P1Point
 }
 
-// PSResult carries both mixes; its JSON form is BENCH_P2.json.
+// PSResult carries both mixes.
 type PSResult struct {
-	Config PSConfig `json:"config"`
-	Mixes  []PSMix  `json:"mixes"`
+	Config PSConfig
+	Mixes  []PSMix
 }
 
 // psOverlapQuery is query i of the overlap mix: a group-by count over
@@ -164,6 +162,6 @@ func (r *PSResult) Table() *Table {
 	t.Notes = append(t.Notes,
 		"overlap mix: queries cycle a small set of distinct predicates; canonicalization interns duplicates onto one shared DAG node, so added-ns should grow sublinearly with query count",
 		"distinct mix: every predicate constant is unique (no node sharing); this bounds the adversarial case and guards against the shared index regressing the no-sharing workload",
-		fmt.Sprintf("median of %d reps per point; sweep written to BENCH_P2.json by cmd/benchrunner", r.Config.Reps))
+		fmt.Sprintf("median of %d reps per point", r.Config.Reps))
 	return t
 }

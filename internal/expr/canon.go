@@ -131,6 +131,65 @@ func canonNode(n Node) (Node, error) {
 	}
 }
 
+// EqAtom is a `field = literal` comparison that a predicate requires:
+// either the whole predicate (Whole) or one of its top-level `and`
+// conjuncts. A row on which the atom is not true cannot pass the
+// predicate, since Kleene `and` is false or NULL as soon as one conjunct
+// is; with Whole set, a row on which the atom is true passes it.
+type EqAtom struct {
+	Field FieldRef
+	Val   event.Value
+	Whole bool
+}
+
+// EqAtoms returns the equality atoms of a (canonical) predicate, in
+// conjunct order: the predicate itself if it is one, otherwise each
+// top-level `and` conjunct that is one. Canon orders the operands of `=`
+// by encoding, so the literal may sit on either side. The host dispatch
+// index uses these to bucket subscribers by the constant they pin.
+// Control-plane only, like Canon.
+func EqAtoms(n Node) []EqAtom {
+	if a, ok := eqAtom(n); ok {
+		a.Whole = true
+		return []EqAtom{a}
+	}
+	var out []EqAtom
+	var conjuncts func(Node)
+	conjuncts = func(n Node) {
+		if b, ok := n.(Binary); ok && b.Op == OpAnd {
+			conjuncts(b.L)
+			conjuncts(b.R)
+			return
+		}
+		if a, ok := eqAtom(n); ok {
+			out = append(out, a)
+		}
+	}
+	if b, ok := n.(Binary); ok && b.Op == OpAnd {
+		conjuncts(b)
+	}
+	return out
+}
+
+// eqAtom matches `FieldRef = Lit` in either operand order; the literal
+// must be a valid value.
+func eqAtom(n Node) (EqAtom, bool) {
+	b, ok := n.(Binary)
+	if !ok || b.Op != OpEq {
+		return EqAtom{}, false
+	}
+	f, fok := b.L.(FieldRef)
+	l, lok := b.R.(Lit)
+	if !fok || !lok {
+		f, fok = b.R.(FieldRef)
+		l, lok = b.L.(Lit)
+	}
+	if !fok || !lok || !l.Val.IsValid() {
+		return EqAtom{}, false
+	}
+	return EqAtom{Field: f, Val: l.Val}, true
+}
+
 type canonErr string
 
 func (e canonErr) Error() string { return string(e) }

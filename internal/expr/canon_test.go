@@ -333,3 +333,53 @@ func TestProgramSharesSubexpressions(t *testing.T) {
 		}
 	}
 }
+
+func TestEqAtoms(t *testing.T) {
+	// EqAtoms finds `field = literal` as the whole canonical predicate or
+	// as a top-level and conjunct, on either side of the =, and nothing
+	// under or/not or in other comparison shapes.
+	res := singleResolver()
+	user := FieldRef{Name: "user_id"}
+	city := FieldRef{Name: "city"}
+	price := FieldRef{Name: "bid_price"}
+	eq := func(l, r Node) Node { return Binary{Op: OpEq, L: l, R: r} }
+	and := func(l, r Node) Node { return Binary{Op: OpAnd, L: l, R: r} }
+	gt := Binary{Op: OpGt, L: price, R: Lit{Val: event.Float(1)}}
+	u7 := EqAtom{Field: FieldRef{Type: "bid", Name: "user_id"}, Val: event.Int(7)}
+	sf := EqAtom{Field: FieldRef{Type: "bid", Name: "city"}, Val: event.Str("sf")}
+	whole := func(a EqAtom) EqAtom { a.Whole = true; return a }
+	cases := []struct {
+		pred Node
+		want []EqAtom // in any order
+	}{
+		{eq(user, Lit{Val: event.Int(7)}), []EqAtom{whole(u7)}},
+		{eq(Lit{Val: event.Int(7)}, user), []EqAtom{whole(u7)}},
+		{and(gt, eq(user, Lit{Val: event.Int(7)})), []EqAtom{u7}},
+		{and(eq(city, Lit{Val: event.Str("sf")}), and(gt, eq(Lit{Val: event.Int(7)}, user))), []EqAtom{u7, sf}},
+		{Binary{Op: OpOr, L: eq(user, Lit{Val: event.Int(7)}), R: gt}, nil},
+		{Unary{Op: OpNot, X: eq(user, Lit{Val: event.Int(7)})}, nil},
+		{Binary{Op: OpNe, L: user, R: Lit{Val: event.Int(7)}}, nil},
+		{eq(user, Binary{Op: OpMod, L: user, R: Lit{Val: event.Int(2)}}), nil},
+		{gt, nil},
+	}
+	for i, c := range cases {
+		checked, _, err := Check(c.pred, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := EqAtoms(Canon(checked))
+		if len(got) != len(c.want) {
+			t.Errorf("case %d (%s): got %+v, want %+v", i, c.pred, got, c.want)
+			continue
+		}
+	want:
+		for _, w := range c.want {
+			for _, g := range got {
+				if g.Field == w.Field && g.Val.Kind() == w.Val.Kind() && g.Val.Equal(w.Val) && g.Whole == w.Whole {
+					continue want
+				}
+			}
+			t.Errorf("case %d (%s): got %+v, missing %+v", i, c.pred, got, w)
+		}
+	}
+}

@@ -153,9 +153,15 @@ type activeQuery struct {
 	// (expr.Canon), nil to match everything. rebuildLocked interns it into
 	// the event type's shared program; Start pre-validates it against a
 	// throwaway builder so interning at rebuild time cannot fail.
-	canon  expr.Node
+	canon expr.Node
+	// pins are canon's indexable equality atoms, at most one per field
+	// (eqPinsOf); rebuildLocked picks the type's indexed field from them.
+	pins   []eqPin
 	colIdx []int // schema field indices to project
 	width  int   // len(colIdx), the projected tuple width
+	// groupKey encodes colIdx so queries projecting the same columns
+	// share one projection group.
+	groupKey string
 	// Span bounds mirrored out of hq so the per-event gate reads flat
 	// fields adjacent to the rest of the hot state.
 	startNs, endNs int64
@@ -254,6 +260,18 @@ type subscriber struct {
 	// set); -1 for zero-width projections.
 	group          int32
 	startNs, endNs int64
+	// atomOnly marks an indexed subscriber whose whole predicate is the
+	// equality atom it is bucketed by: a bucket hit is a match.
+	atomOnly bool
+}
+
+// inSpan reports whether ts falls in the subscriber's span; a subscriber
+// without span bounds accepts every timestamp.
+func (s *subscriber) inSpan(ts int64) bool {
+	if s.startNs == 0 && s.endNs == 0 {
+		return true
+	}
+	return ts >= s.startNs && (s.endNs == 0 || ts < s.endNs)
 }
 
 // projGroup is one distinct projection column set shared by one or more
@@ -276,25 +294,31 @@ type projGroup struct {
 // subscribers.
 //
 // Subscribers are pre-split so Log pays span comparisons only for
-// queries that actually carry a span:
+// queries that actually carry a span, and predicate probes only for
+// queries the event can match:
 //
 //   - always: no span bounds — zero per-event comparisons.
 //   - gated: span-bounded; a single ts >= minStart comparison skips the
 //     whole list while every spanned query is still pending. Expired
 //     queries are removed by PruneExpired (the shipper ticks it), after
 //     which they cost nothing.
+//   - eq: subscribers whose predicate pins the type's indexed field to a
+//     constant, bucketed by that constant (see eqIndex). An event reaches
+//     only the bucket of the value it carries.
 //
 // The split is by query shape, not wall clock, because event timestamps
 // may run on virtual time in simulations — classifying by time.Now would
 // drop in-span virtual-time events.
 type typeProgram struct {
-	// prog is the shared evaluation DAG; nil when every subscriber
-	// matches all events.
+	// prog is the shared evaluation DAG; nil when no subscriber needs a
+	// predicate node (match-all and whole-atom indexed subscribers).
 	prog     *expr.Program
 	always   []subscriber
 	gated    []subscriber
 	minStart int64
-	groups   []projGroup
+	// eq is the equality index; nil when no subscriber pins a field.
+	eq     *eqIndex
+	groups []projGroup
 	// solo is the single-subscriber fast path: with exactly one query on
 	// the type there is nothing to share, so the memoizing shared-program
 	// machinery (context pool round-trip, Begin/Finish epoch bookkeeping)
@@ -310,6 +334,126 @@ type typeProgram struct {
 	// group set; a rebuild strands the old pool's contexts along with the
 	// old snapshot.
 	ctxs sync.Pool
+}
+
+// eqIndex answers "which subscribers pin field to this event's value"
+// with one map lookup instead of a predicate probe per subscriber. A
+// subscriber is indexed when its canonical predicate is `field = lit`, or
+// has that atom as a top-level `and` conjunct (expr.EqAtoms), where field
+// is a schema field of kind int, string or bool and lit has the same
+// kind. Subscribers are grouped into one run per distinct literal.
+//
+// The atom is true exactly when Value.Equal(value, lit), the comparison
+// its `=` node makes. On two values of the same int, string or bool kind
+// that is equality of their eqKeys, so an event whose value has the
+// index's kind looks up its one run. Any other value (a float equal to an
+// int literal, an unset field, a wrongly-kinded value in an event built
+// without the Builder) is compared with every run's literal by
+// Value.Equal. Either way, a subscriber whose whole predicate is the atom
+// matches when its run does, and a conjunct subscriber then evaluates its
+// full predicate through the shared program; a run whose atom is false
+// rejects all of its subscribers, because Kleene `and` cannot be true
+// with a conjunct that is not.
+type eqIndex struct {
+	schema *event.Schema // the catalog schema field positions refer to
+	field  int           // schema field position
+	name   string        // the field's name, read by name from foreign schemas
+	kind   event.Kind    // the field's schema kind
+	// buckets maps a literal's key to its run.
+	buckets map[eqKey]int32
+	runs    []eqRun
+}
+
+// eqRun is one literal's subscribers.
+type eqRun struct {
+	lit  event.Value
+	subs []subscriber
+}
+
+// value reads the indexed field: by position when ev uses the catalog
+// schema the position came from, else by name (a look-alike schema may
+// order its fields differently).
+func (ix *eqIndex) value(ev *event.Event) event.Value {
+	if ev.Schema == ix.schema {
+		return ev.At(ix.field)
+	}
+	return ev.Get(ix.name)
+}
+
+// add appends s to the run of lit, opening the run on first use.
+func (ix *eqIndex) add(lit event.Value, s subscriber) {
+	k := eqKeyOf(lit)
+	r, ok := ix.buckets[k]
+	if !ok {
+		r = int32(len(ix.runs))
+		ix.buckets[k] = r
+		ix.runs = append(ix.runs, eqRun{lit: lit})
+	}
+	ix.runs[r].subs = append(ix.runs[r].subs, s)
+}
+
+// eqKey is a bucket key: an int or bool value's bits, or a string.
+type eqKey struct {
+	num uint64
+	str string
+}
+
+// eqKeyOf builds the bucket key of an int, bool or string value.
+func eqKeyOf(v event.Value) eqKey {
+	switch v.Kind() {
+	case event.KindInt:
+		i, _ := v.AsInt()
+		return eqKey{num: uint64(i)}
+	case event.KindBool:
+		if b, _ := v.AsBool(); b {
+			return eqKey{num: 1}
+		}
+	case event.KindString:
+		s, _ := v.AsStr()
+		return eqKey{str: s}
+	}
+	return eqKey{}
+}
+
+// eqPin is an indexable equality atom: the schema field position it
+// pins, the literal, and whether the atom is the whole predicate.
+type eqPin struct {
+	field int
+	lit   event.Value
+	whole bool
+}
+
+// eqPinsOf returns a canonical predicate's indexable equality atoms
+// (expr.EqAtoms), the first per field. An atom is indexable when it pins
+// a schema field of this type (not a system field) of kind int, string
+// or bool to a literal of that same kind.
+func eqPinsOf(schema *event.Schema, canon expr.Node) []eqPin {
+	var pins []eqPin
+atoms:
+	for _, at := range expr.EqAtoms(canon) {
+		if at.Field.Type != "" && at.Field.Type != schema.Name() {
+			continue
+		}
+		idx := schema.FieldIndex(at.Field.Name)
+		if idx < 0 {
+			continue
+		}
+		switch k := schema.Field(idx).Kind; k {
+		case event.KindInt, event.KindString, event.KindBool:
+			if at.Val.Kind() != k {
+				continue
+			}
+		default:
+			continue
+		}
+		for _, p := range pins {
+			if p.field == idx {
+				continue atoms
+			}
+		}
+		pins = append(pins, eqPin{field: idx, lit: at.Val, whole: at.Whole})
+	}
+	return pins
 }
 
 // dispatchCtx is the per-event scratch for one pass over a type's
@@ -352,6 +496,25 @@ func (dc *dispatchCtx) clear(tp *typeProgram) {
 		}
 		dc.done[g] = false
 	}
+}
+
+// begin takes a pooled dispatch context and starts it on ev.
+func (tp *typeProgram) begin(ev *event.Event) *dispatchCtx {
+	dc := tp.ctxs.Get().(*dispatchCtx)
+	if dc.ec != nil {
+		dc.ec.Begin(expr.EventRow{Event: ev})
+	}
+	return dc
+}
+
+// end releases the event's memoized values and extracted columns and
+// returns the context to the pool.
+func (tp *typeProgram) end(dc *dispatchCtx) {
+	if dc.ec != nil {
+		dc.ec.Finish()
+	}
+	dc.clear(tp)
+	tp.ctxs.Put(dc)
 }
 
 // newDispatchCtx sizes a context for the snapshot; pool-miss only.
@@ -514,6 +677,7 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 			return fmt.Errorf("host: compile predicate: %w", err)
 		}
 		aq.canon = canon
+		aq.pins = eqPinsOf(schema, canon)
 	}
 	aq.colIdx = make([]int, len(hq.Columns))
 	for i, col := range hq.Columns {
@@ -524,6 +688,7 @@ func (a *Agent) Start(hq transport.HostQuery) error {
 		aq.colIdx[i] = idx
 	}
 	aq.width = len(aq.colIdx)
+	aq.groupKey = groupKey(aq.colIdx)
 	rate := hq.SampleEvents
 	if rate <= 0 || rate > 1 {
 		rate = 1
@@ -656,23 +821,40 @@ func (a *Agent) rebuildLocked() {
 	}
 	m := make(map[string]*typeProgram, len(perType))
 	for typ, aqs := range perType {
-		m[typ] = buildTypeProgram(aqs)
+		// Start resolved every query's type against the same catalog.
+		schema, _ := a.cfg.Catalog.Lookup(typ)
+		m[typ] = buildTypeProgram(schema, aqs)
 	}
 	a.byType.Store(&m)
 }
 
 // buildTypeProgram compiles one event type's query list into its shared
 // dispatch index: predicates interned into one program, identical column
-// sets merged into one projection group, subscribers split into the
+// sets merged into one projection group, subscribers that pin the indexed
+// field bucketed into the equality index and the rest split into the
 // always/gated lists.
-func buildTypeProgram(aqs []*activeQuery) *typeProgram {
+func buildTypeProgram(schema *event.Schema, aqs []*activeQuery) *typeProgram {
 	tp := &typeProgram{}
+	if field := pickIndex(schema, aqs); field >= 0 {
+		f := schema.Field(field)
+		tp.eq = &eqIndex{schema: schema, field: field, name: f.Name, kind: f.Kind, buckets: make(map[eqKey]int32)}
+	}
 	b := expr.NewProgramBuilder()
 	groupIdx := make(map[string]int32, len(aqs))
 	width := 0
+	n := 0
+	var last subscriber
 	for _, aq := range aqs {
 		s := subscriber{aq: aq, pred: -1, group: -1, startNs: aq.hq.StartNanos, endNs: aq.hq.EndNanos}
-		if aq.canon != nil {
+		var pin eqPin
+		indexed := false
+		if tp.eq != nil {
+			pin, indexed = aq.pinOn(tp.eq.field)
+			s.atomOnly = indexed && pin.whole
+		}
+		// A whole-atom subscriber is decided by its run alone and needs
+		// no program node.
+		if aq.canon != nil && !s.atomOnly {
 			// Start trial-interned the same canonical tree, so this cannot
 			// fail here.
 			id, err := b.Intern(aq.canon)
@@ -682,17 +864,18 @@ func buildTypeProgram(aqs []*activeQuery) *typeProgram {
 			s.pred = id
 		}
 		if aq.width > 0 {
-			gk := groupKey(aq.colIdx)
-			g, ok := groupIdx[gk]
+			g, ok := groupIdx[aq.groupKey]
 			if !ok {
 				g = int32(len(tp.groups))
-				groupIdx[gk] = g
+				groupIdx[aq.groupKey] = g
 				tp.groups = append(tp.groups, projGroup{colIdx: aq.colIdx, off: width})
 				width += aq.width
 			}
 			s.group = g
 		}
-		if s.startNs == 0 && s.endNs == 0 {
+		if indexed {
+			tp.eq.add(pin.lit, s)
+		} else if s.startNs == 0 && s.endNs == 0 {
 			tp.always = append(tp.always, s)
 		} else {
 			if len(tp.gated) == 0 || s.startNs < tp.minStart {
@@ -700,17 +883,14 @@ func buildTypeProgram(aqs []*activeQuery) *typeProgram {
 			}
 			tp.gated = append(tp.gated, s)
 		}
+		last = s
+		n++
 	}
 	if prog := b.Build(); prog.NumNodes() > 0 {
 		tp.prog = prog
 	}
-	if len(tp.always)+len(tp.gated) == 1 {
-		s := &subscriber{}
-		if len(tp.always) == 1 {
-			*s = tp.always[0]
-		} else {
-			*s = tp.gated[0]
-		}
+	if n == 1 {
+		s := &last
 		if s.aq.canon == nil {
 			tp.solo = s
 		} else if ev, err := expr.Compile(s.aq.canon); err == nil {
@@ -721,6 +901,38 @@ func buildTypeProgram(aqs []*activeQuery) *typeProgram {
 	projWidth := width
 	tp.ctxs.New = func() any { return newDispatchCtx(tp, projWidth) }
 	return tp
+}
+
+// pickIndex chooses a type's indexed field: the schema field the most
+// queries pin to a constant, the lowest position on a tie, or -1 when no
+// query pins one.
+//
+// One field per type keeps Log at one field read and one map lookup;
+// a subscriber pinning two fields needs only one of them to be skipped.
+func pickIndex(schema *event.Schema, aqs []*activeQuery) int {
+	counts := make([]int, schema.NumFields())
+	for _, aq := range aqs {
+		for _, p := range aq.pins {
+			counts[p.field]++
+		}
+	}
+	field, best := -1, 0
+	for f, n := range counts {
+		if n > best {
+			field, best = f, n
+		}
+	}
+	return field
+}
+
+// pinOn returns the query's pin on field, if it has one.
+func (aq *activeQuery) pinOn(field int) (eqPin, bool) {
+	for _, p := range aq.pins {
+		if p.field == field {
+			return p, true
+		}
+	}
+	return eqPin{}, false
 }
 
 // groupKey encodes a projection column set so subscribers projecting
@@ -763,7 +975,10 @@ func (a *Agent) Log(ev *event.Event) {
 // each distinct predicate node is evaluated at most once (memoized in the
 // dispatch context's expr.Ctx), each distinct projection column set is
 // extracted at most once, and the results fan out to subscribers — whose
-// sampling, accounting, and chunks remain strictly per-query.
+// sampling, accounting, and chunks remain strictly per-query. Subscribers
+// in the equality index are reached through one lookup of the event's
+// value; the dispatch context is taken only when some predicate must be
+// evaluated.
 //
 //scrub:hotpath
 func (a *Agent) logEvent(ev *event.Event) {
@@ -783,43 +998,80 @@ func (a *Agent) logEvent(ev *event.Event) {
 		a.matched.Add(1)
 		return
 	}
-	dc := tp.ctxs.Get().(*dispatchCtx)
-	if dc.ec != nil {
-		dc.ec.Begin(expr.EventRow{Event: ev})
-	}
+	var dc *dispatchCtx
 	anyMatch := false
-	for i := range tp.always {
-		s := &tp.always[i]
-		if s.pred >= 0 && !dc.ec.Bool(s.pred) {
-			continue
-		}
-		a.offerMatched(tp, s, dc, ev, ts)
-		anyMatch = true
-	}
-	if len(tp.gated) > 0 && ts >= tp.minStart {
-		for i := range tp.gated {
-			s := &tp.gated[i]
-			if ts < s.startNs {
-				continue
-			}
-			if s.endNs != 0 && ts >= s.endNs {
-				continue
-			}
+	gatedLive := len(tp.gated) > 0 && ts >= tp.minStart
+	if len(tp.always) > 0 || gatedLive {
+		dc = tp.begin(ev)
+		for i := range tp.always {
+			s := &tp.always[i]
 			if s.pred >= 0 && !dc.ec.Bool(s.pred) {
 				continue
 			}
 			a.offerMatched(tp, s, dc, ev, ts)
 			anyMatch = true
 		}
+		if gatedLive {
+			for i := range tp.gated {
+				s := &tp.gated[i]
+				if !s.inSpan(ts) {
+					continue
+				}
+				if s.pred >= 0 && !dc.ec.Bool(s.pred) {
+					continue
+				}
+				a.offerMatched(tp, s, dc, ev, ts)
+				anyMatch = true
+			}
+		}
 	}
-	if dc.ec != nil {
-		dc.ec.Finish()
+	if ix := tp.eq; ix != nil {
+		// A value of the index's kind selects its run by key; any other
+		// value is compared with every run's literal (see eqIndex).
+		v := ix.value(ev)
+		if v.Kind() == ix.kind {
+			if r, ok := ix.buckets[eqKeyOf(v)]; ok {
+				dc = a.offerRun(tp, &ix.runs[r], dc, ev, ts, &anyMatch)
+			}
+		} else {
+			for r := range ix.runs {
+				if v.Equal(ix.runs[r].lit) {
+					dc = a.offerRun(tp, &ix.runs[r], dc, ev, ts, &anyMatch)
+				}
+			}
+		}
 	}
-	dc.clear(tp)
-	tp.ctxs.Put(dc)
+	if dc != nil {
+		tp.end(dc)
+	}
 	if anyMatch {
 		a.matched.Add(1)
 	}
+}
+
+// offerRun offers an event to the run whose literal it equals: a
+// whole-atom subscriber matches outright, a conjunct subscriber evaluates
+// its full predicate, taking the dispatch context on first need. It
+// returns the (possibly newly taken) context and sets *matched on a
+// match.
+func (a *Agent) offerRun(tp *typeProgram, run *eqRun, dc *dispatchCtx, ev *event.Event, ts int64, matched *bool) *dispatchCtx {
+	for i := range run.subs {
+		s := &run.subs[i]
+		if !s.inSpan(ts) {
+			continue
+		}
+		if !s.atomOnly {
+			if dc == nil {
+				dc = tp.begin(ev)
+			}
+			if !dc.ec.Bool(s.pred) {
+				continue
+			}
+		}
+		a.offerMatched(tp, s, dc, ev, ts)
+		*matched = true
+	}
+	return dc
 }
 
 // Cost sampling: 1 in every 2^costSampleShift matched events (and Log

@@ -35,10 +35,7 @@ echo "== metrics smoke (boot daemons, scrape /metrics) =="
 go run ./scripts/metricssmoke
 
 echo "== chaos soak (fixed seed, quick, -race) =="
-go run -race ./cmd/benchrunner -only C1 -quick -p1json ''
-
-echo "== bench smoke (tiny PS sweep, BENCH_P2 emission) =="
-make bench-smoke
+go run -race ./cmd/benchrunner -only C1 -quick
 
 echo "== differential oracle sweep (200 seeded sims, -race) =="
 go test -race ./internal/difftest -run 'TestDifferentialSweep|TestRegressionSeeds' -difftest.seeds=200
