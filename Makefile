@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet ci bench bench-p1 bench-ps bench-g1 fuzz-smoke chaos-soak metrics-smoke difftest difftest-soak multinode-smoke failover-smoke
+.PHONY: build test race vet ci bench bench-compare bench-p1 bench-ps bench-g1 fuzz-smoke chaos-soak metrics-smoke difftest difftest-soak multinode-smoke failover-smoke
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,14 @@ ci:
 # claims are measured with perfbench (BENCHMARK.json), not these tables.
 bench:
 	$(GO) run ./cmd/benchrunner
+
+# Alternating base/working-tree perfbench pairs on one workload, each
+# end-to-end metric judged against its BENCHMARK.json bound:
+#   make bench-compare BASE=<rev> WORKLOAD=<name> PAIRS=<n>
+# A pair takes about a minute, so ci.sh does not run it.
+PAIRS ?= 10
+bench-compare:
+	$(GO) run ./scripts/benchcompare -base $(BASE) -workload $(WORKLOAD) -pairs $(PAIRS)
 
 # Host-overhead sweep only: the hot-path perf gate tracked across PRs.
 bench-p1:

@@ -49,7 +49,7 @@ func main() {
 	clientAddr := flag.String("client", "127.0.0.1:7700", "client (troubleshooter) listen address")
 	controlAddr := flag.String("control", "127.0.0.1:7701", "agent control listen address")
 	dataAddr := flag.String("data", "127.0.0.1:7702", "agent data listen address")
-	shards := flag.Int("shards", 1, "ScrubCentral shards (>1 runs the sharded cluster)")
+	shards := flag.Int("shards", 1, "ScrubCentral shards (1, the default, is the single node)")
 	metricsAddr := flag.String("metrics", "", "observability listen address for /metrics and /debug/pprof (e.g. 127.0.0.1:0); empty disables")
 	coordMode := flag.Bool("coord", false, "run ScrubCentral as a multi-process shard-fabric coordinator")
 	shardAddrs := flag.String("shard-addrs", "", "comma-separated shard data addresses to enroll at startup (with -coord)")
@@ -121,8 +121,7 @@ func main() {
 	copt := central.Options{Metrics: reg}
 	var engine central.Executor
 	var coordEng *coord.Coordinator
-	switch {
-	case *coordMode:
+	if *coordMode {
 		coordEng = coord.NewCoordinator(copt)
 		for _, addr := range strings.Split(*shardAddrs, ",") {
 			addr = strings.TrimSpace(addr)
@@ -144,14 +143,8 @@ func main() {
 			}
 		}
 		engine = coordEng
-	case *shards > 1:
-		se, err := central.NewShardedEngineWith(*shards, copt)
-		if err != nil {
-			log.Fatalf("scrubcentral: %v", err)
-		}
-		engine = se
-	default:
-		engine = central.NewEngineWith(copt)
+	} else if engine, err = central.NewShardedEngineWith(max(1, *shards), copt); err != nil {
+		log.Fatalf("scrubcentral: %v", err)
 	}
 	srv, err := server.New(server.Config{
 		Catalog:    catalog,

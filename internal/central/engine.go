@@ -20,7 +20,7 @@ import (
 )
 
 // EmitFunc receives each closed window's results. It is called with the
-// engine lock held; implementations must be fast (enqueue and return).
+// merger lock held; implementations must be fast (enqueue and return).
 type EmitFunc func(transport.ResultWindow)
 
 // Options tunes an engine's failure-domain behavior. The zero value is
@@ -37,7 +37,8 @@ type Options struct {
 	Clock func() time.Time
 	// Metrics, when non-nil, registers the engine's scrub_central_*
 	// series, including a per-query tuple counter added at StartQuery and
-	// removed at StopQuery.
+	// removed at StopQuery. In-process shards add the tuples they hold
+	// for a join partner to its scrub_central_join_pending gauge.
 	Metrics *obs.Registry
 }
 
@@ -45,15 +46,14 @@ type Options struct {
 // *centralMetrics (no registry configured) costs one pointer check per
 // batch.
 type centralMetrics struct {
-	reg         *obs.Registry
-	batches     *obs.Counter
-	tuples      *obs.Counter
-	windows     *obs.Counter
-	degraded    *obs.Counter
-	shed        *obs.Counter
-	closeNs     *obs.Histogram
-	wmLag       *obs.Gauge
-	joinPending *obs.Gauge
+	reg      *obs.Registry
+	batches  *obs.Counter
+	tuples   *obs.Counter
+	windows  *obs.Counter
+	degraded *obs.Counter
+	shed     *obs.Counter
+	closeNs  *obs.Histogram
+	wmLag    *obs.Gauge
 }
 
 func newCentralMetrics(reg *obs.Registry) *centralMetrics {
@@ -61,15 +61,14 @@ func newCentralMetrics(reg *obs.Registry) *centralMetrics {
 		return nil
 	}
 	return &centralMetrics{
-		reg:         reg,
-		batches:     reg.Counter("scrub_central_batches_total", "tuple batches ingested"),
-		tuples:      reg.Counter("scrub_central_tuples_total", "tuples ingested"),
-		windows:     reg.Counter("scrub_central_windows_total", "result windows emitted"),
-		degraded:    reg.Counter("scrub_central_degraded_windows_total", "windows emitted with at least one evicted stream"),
-		shed:        reg.Counter("scrub_central_shed_windows_total", "windows emitted with at least one budget-shed stream"),
-		closeNs:     reg.Histogram("scrub_central_window_close_ns", "window render-and-emit latency in nanoseconds", obs.ExpBuckets(1024, 4, 12)),
-		wmLag:       reg.Gauge("scrub_central_watermark_lag_ns", "wall clock minus the query watermark at last ingest"),
-		joinPending: reg.Gauge("scrub_central_join_pending", "tuples buffered awaiting their join partner"),
+		reg:      reg,
+		batches:  reg.Counter("scrub_central_batches_total", "tuple batches ingested"),
+		tuples:   reg.Counter("scrub_central_tuples_total", "tuples ingested"),
+		windows:  reg.Counter("scrub_central_windows_total", "result windows emitted"),
+		degraded: reg.Counter("scrub_central_degraded_windows_total", "windows emitted with at least one evicted stream"),
+		shed:     reg.Counter("scrub_central_shed_windows_total", "windows emitted with at least one budget-shed stream"),
+		closeNs:  reg.Histogram("scrub_central_window_close_ns", "window render-and-emit latency in nanoseconds", obs.ExpBuckets(1024, 4, 12)),
+		wmLag:    reg.Gauge("scrub_central_watermark_lag_ns", "wall clock minus the query watermark at last ingest"),
 	}
 }
 
@@ -101,12 +100,20 @@ func (o *Options) fillDefaults() {
 
 // Engine executes the central half of Scrub queries: windowing, the
 // request-id equi-join, grouping, aggregation, sampling scale-up, and
-// error bounds.
+// error bounds. It is the single-node ScrubCentral: a Merger over one
+// LocalShard of the engine's own driven state. The Merger supplies the
+// Executor surface (HandleBatch, Tick, StopQuery, Stats, ActiveQueries)
+// and the only close path; the driven state below (partial.go) holds
+// the windows and never closes one on its own.
+//
+// Lock order: the merger's lock, then the engine's; the driven methods
+// never call back into the merger.
 type Engine struct {
-	opt     Options
-	met     *centralMetrics // nil when no registry configured
-	mu      sync.Mutex
-	queries map[uint64]*queryState
+	*Merger
+
+	joinPending *obs.Gauge // nil without a registry
+	mu          sync.Mutex
+	queries     map[uint64]*queryState
 }
 
 // NewEngine returns an empty engine with default Options.
@@ -114,14 +121,37 @@ func NewEngine() *Engine { return NewEngineWith(Options{}) }
 
 // NewEngineWith returns an empty engine with the given Options.
 func NewEngineWith(opt Options) *Engine {
-	opt.fillDefaults()
-	return &Engine{opt: opt, met: newCentralMetrics(opt.Metrics), queries: make(map[uint64]*queryState)}
+	e := newDrivenEngine(opt.Metrics)
+	e.Merger = NewMerger(opt)
+	return e
 }
 
+// newDrivenEngine returns an engine with driven state only, for use as an
+// in-process shard.
+func newDrivenEngine(reg *obs.Registry) *Engine {
+	e := &Engine{queries: make(map[uint64]*queryState)}
+	if reg != nil {
+		// Registry.Gauge is get-or-create: in-process shards share, and so
+		// sum into, the one series.
+		e.joinPending = reg.Gauge("scrub_central_join_pending", "tuples buffered awaiting their join partner")
+	}
+	return e
+}
+
+// StartQuery implements Executor.
+func (e *Engine) StartQuery(p Plan, emit EmitFunc) error {
+	return e.Start(p, emit, []ShardHandle{LocalShard{Engine: e}})
+}
+
+// queryState is a driven query: its plan, window state and drop and
+// ingest counters. Stream accounting, the watermark and closing live at
+// the merger.
 type queryState struct {
-	queryFront
+	plan     Plan // post-defaults, with the driven lateness
+	comp     *compiled
 	win      *window.SlidingManager[*winState]
 	overflow uint64 // raw-row + join-pending drops
+	tuplesIn uint64
 	// Per-tuple evaluation scratch, reused across every tuple (the engine
 	// lock is held throughout a batch, so one set per query suffices):
 	// the row adapters evaluators see, the group-by key values and the
@@ -187,34 +217,6 @@ type winState struct {
 	momentSlab slab[stats.Running]
 }
 
-// StartQuery installs a central query object.
-func (e *Engine) StartQuery(p Plan, emit EmitFunc) error {
-	if emit == nil {
-		return fmt.Errorf("central: nil emit")
-	}
-	comp, err := p.prepare()
-	if err != nil {
-		return err
-	}
-	win, err := window.NewSlidingManager(p.Window, p.Slide, p.Lateness, func(start, end int64) *winState {
-		return newWinState()
-	})
-	if err != nil {
-		return err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, dup := e.queries[p.QueryID]; dup {
-		return fmt.Errorf("central: query %d already active", p.QueryID)
-	}
-	qs := &queryState{queryFront: newQueryFront(p, comp, emit, &e.opt, e.met), win: win}
-	qs.side = sideRow{c: qs.comp, types: qs.plan.Types}
-	qs.join = joinRow{c: qs.comp, types: qs.plan.Types}
-	qs.keyVals = make([]event.Value, len(comp.groupEvals))
-	e.queries[p.QueryID] = qs
-	return nil
-}
-
 // prepare fills a plan's defaults and compiles it. Aggregator specs are
 // validated up front so a bad plan fails at start, not at the first
 // tuple.
@@ -230,52 +232,6 @@ func (p *Plan) prepare() (*compiled, error) {
 		return nil, err
 	}
 	return comp, nil
-}
-
-// ActiveQueries returns the installed query ids.
-func (e *Engine) ActiveQueries() []uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]uint64, 0, len(e.queries))
-	for id := range e.queries {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// HandleBatch folds a host's tuple batch into the query's window state.
-// Batches for unknown queries are dropped silently (they race with query
-// teardown by design). Every batch renews the stream's liveness lease
-// (queryFront.observe); any of its tuples whose windows closed in the
-// meantime are counted as late against that stream, never applied to
-// closed results.
-func (e *Engine) HandleBatch(b transport.TupleBatch) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	qs, ok := e.queries[b.QueryID]
-	if !ok || int(b.TypeIdx) >= len(qs.plan.Types) {
-		return
-	}
-	ack := e.applyLocked(qs, b)
-	man := manifestOf(b)
-	man.HasTs, man.MaxTs, man.LateDelta = ack.HasTs, ack.MaxTs, ack.LateDelta
-	nowN := e.opt.Clock().UnixNano()
-	qs.observe(&man, nowN, e.met)
-	// A batch that releases the replay hold (its ReplayDone marker
-	// settled the last replaying stream) closes windows even when it
-	// carried no tuples of its own.
-	holding, released := qs.holding(nowN)
-	if !holding && (ack.HasTs || released) {
-		if wm, ok := qs.streams.Watermark(); ok {
-			if e.met != nil {
-				e.met.wmLag.Set(nowN - wm)
-			}
-			for _, closed := range qs.win.Observe(wm) {
-				e.emitWindow(qs, closed)
-			}
-		}
-	}
 }
 
 // applyLocked runs a batch's tuples through the span filter, window
@@ -319,7 +275,7 @@ func (e *Engine) applyLocked(qs *queryState, b transport.TupleBatch) transport.S
 // residual predicate, and accumulation.
 func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx uint8, t *transport.Tuple) {
 	ws.tuples++
-	qs.stats.TuplesIn++
+	qs.tuplesIn++
 	ws.hosts[host] = struct{}{}
 
 	if !qs.plan.IsJoin() {
@@ -363,8 +319,8 @@ func (e *Engine) processTuple(qs *queryState, ws *winState, host string, typeIdx
 	*link = pt
 	ws.pending[t.RequestID] = cell // a new cell may grow the map
 	ws.pendingCount++
-	if e.met != nil {
-		e.met.joinPending.Add(1)
+	if e.joinPending != nil {
+		e.joinPending.Add(1)
 	}
 }
 
@@ -445,8 +401,8 @@ func newGroup(qs *queryState, ws *winState) *group {
 
 // renderWindow turns a closed window's accumulated state into result
 // rows: group ordering, aggregate rendering with Horvitz-Thompson
-// scale-up, HAVING, error bounds, ORDER BY and LIMIT. Shared by the
-// single-node engine and the Merger.
+// scale-up, HAVING, error bounds, ORDER BY and LIMIT. Its one caller is
+// the Merger's emit.
 //
 // rates, when non-nil, maps hosts to governor-degraded effective
 // event-sampling rates (liveness.Table.RatesByHost): the window is then
@@ -520,19 +476,6 @@ func renderWindow(p *Plan, comp *compiled, start, end int64, ws *winState, rates
 	rw.Stats.TuplesIn = ws.tuples
 	rw.Stats.HostsReporting = uint32(len(ws.hosts))
 	return rw
-}
-
-// emitWindow renders a closed window into a ResultWindow and emits it
-// (queryFront.finish).
-func (e *Engine) emitWindow(qs *queryState, closed window.Closed[*winState]) {
-	var t0 time.Time
-	if e.met != nil {
-		t0 = time.Now()
-		e.met.joinPending.Add(-int64(closed.State.pendingCount))
-	}
-	rw := renderWindow(&qs.plan, qs.comp, closed.Start, closed.End, closed.State,
-		qs.streams.RatesByHost(qs.plan.SampleEvents))
-	qs.finish(rw, qs.win.LateDrops()+qs.overflow, false, e.met, t0)
 }
 
 // computeBounds applies the paper's Eq. 1–3 per select column. Only
@@ -617,70 +560,6 @@ func substituteEstimate(orig event.Value, est float64) event.Value {
 		return event.Int(int64(math.Round(est)))
 	}
 	return event.Float(est)
-}
-
-// Tick closes windows by wall clock so idle streams still emit: every
-// window ending at or before now−lateness is emitted. It also expires
-// stream liveness leases (on the engine's own clock, which may differ
-// from nowNanos in virtual-time setups): when a stream is evicted, the
-// watermark recomputed over the surviving streams is observed
-// immediately, so windows a dead host was holding open close now instead
-// of waiting out the force bound. Call it periodically (the query server
-// runs a ticker).
-func (e *Engine) Tick(nowNanos int64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	leaseNow := e.opt.Clock().UnixNano()
-	for _, qs := range e.queries {
-		// Expire before the hold check: evicting a replaying stream can
-		// settle the replay (a dead host will never send its done marker).
-		evicted := qs.streams.Expire(leaseNow)
-		holding, released := qs.holding(leaseNow)
-		if holding {
-			// Replayed history may still be in flight: closing a window
-			// now — by watermark or by wall clock — would count it late.
-			continue
-		}
-		if len(evicted) > 0 || released {
-			if wm, ok := qs.streams.Watermark(); ok {
-				for _, closed := range qs.win.Observe(wm) {
-					e.emitWindow(qs, closed)
-				}
-			}
-		}
-		for _, closed := range qs.win.ForceBefore(nowNanos - int64(qs.plan.Lateness)) {
-			e.emitWindow(qs, closed)
-		}
-	}
-}
-
-// StopQuery flushes and removes a query, returning its final stats.
-func (e *Engine) StopQuery(id uint64) (transport.QueryStats, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	qs, ok := e.queries[id]
-	if !ok {
-		return transport.QueryStats{}, false
-	}
-	for _, closed := range qs.win.Flush() {
-		e.emitWindow(qs, closed)
-	}
-	qs.stats.HostDrops = qs.streams.HostDrops()
-	qs.stats.LateDrops = qs.win.LateDrops() + qs.overflow
-	delete(e.queries, id)
-	e.met.dropQuery(id)
-	return qs.stats, true
-}
-
-// Stats returns a query's running stats.
-func (e *Engine) Stats(id uint64) (transport.QueryStats, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	qs, ok := e.queries[id]
-	if !ok {
-		return transport.QueryStats{}, false
-	}
-	return qs.stats, true
 }
 
 // orderAndLimit applies the plan's ORDER BY keys and LIMIT to an emitted

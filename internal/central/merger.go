@@ -2,7 +2,8 @@ package central
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -34,16 +35,18 @@ type ShardHandle interface {
 	TuplesIn(id uint64) (uint64, bool)
 }
 
-// Merger is the merge layer of a sharded ScrubCentral — the paper's
-// "small ScrubCentral cluster" (§8.1). Tuples route to shards by request
-// id (Route), so the request-identifier equi-join stays shard-local;
-// stream leases, counters, the replay hold and the watermark live here,
-// the only place that sees whole batches. At each close barrier every
-// shard surrenders its closed windows, which merge in ascending shard
-// order through the mergeable aggregators and render exactly like the
-// single-node engine (scale-up, bounds, HAVING, ORDER BY, LIMIT).
+// Merger is ScrubCentral's one close path — the paper's "small
+// ScrubCentral cluster" (§8.1), of which a single node is the one-shard
+// case. Tuples route to shards by request id (Route), so the
+// request-identifier equi-join stays shard-local; stream leases,
+// counters, the replay hold and the watermark live here, the only place
+// that sees whole batches. At each close barrier every shard surrenders
+// its closed windows, which merge in ascending shard order through the
+// mergeable aggregators and render (scale-up, bounds, HAVING, ORDER BY,
+// LIMIT).
 //
-// ShardedEngine is a Merger over in-process shards; internal/coord's
+// Engine is a Merger over one shard of its own driven state,
+// ShardedEngine one over N in-process shards, and internal/coord's
 // Coordinator drives one over shard processes.
 type Merger struct {
 	opt    Options
@@ -55,7 +58,30 @@ type Merger struct {
 }
 
 type mergedQuery struct {
-	queryFront
+	plan Plan // post-defaults
+	comp *compiled
+	emit EmitFunc
+
+	// streams holds per-(host, type) stream leases, last-known counters,
+	// and max event times. The query watermark is the minimum across
+	// *live* streams: hosts whose shipping (or simulated clock) lags
+	// never see their tuples declared late by a faster peer, while a
+	// crashed or partitioned host is evicted on lease expiry instead of
+	// freezing window emission forever.
+	streams *liveness.Table
+	stats   transport.QueryStats
+	tuplesC *obs.Counter // per-query ingest counter; nil without a registry
+	// Replay hold (Plan.Replay > 0): while open, no window closes at all —
+	// neither watermark-driven nor wall-clock-forced — because replayed
+	// history with old event times may still be in flight, and a window
+	// that closes early would count that history as late instead of
+	// folding it in. The hold releases when every stream that announced
+	// replay has sent its ReplayDone marker (liveness.ReplaySettled) or at
+	// replayDeadline — lease-clock, 2× the lease TTL past query start —
+	// whichever comes first; the deadline bounds the damage of a dropped
+	// done marker or of a query no recording host serves.
+	replayHold     bool
+	replayDeadline int64
 
 	// installed flips true once every shard accepted the start. Until
 	// then the entry only reserves the query id: batches and manifests
@@ -73,8 +99,12 @@ type mergedQuery struct {
 	// rather than silently incomplete.
 	degraded bool
 
-	// pending holds merged-but-unflushed window state by start time.
-	pending map[int64]*winState
+	// pending holds merged-but-unflushed window state by start time;
+	// flushStarts is flushLocked's reused scratch.
+	pending     map[int64]*winState
+	flushStarts []int64
+	// collectedTo is the highest bound the shards were collected to.
+	collectedTo int64
 	// mergeDrops counts raw rows truncated when shard partials merged past
 	// MaxRawRows; folded into the query's late/overflow totals.
 	mergeDrops uint64
@@ -112,12 +142,19 @@ func (m *Merger) register(p Plan, emit EmitFunc, shards []ShardHandle) (*mergedQ
 		return nil, fmt.Errorf("central: query %d already active", p.QueryID)
 	}
 	q := &mergedQuery{
-		queryFront:    newQueryFront(p, comp, emit, &m.opt, m.met),
+		plan: p, comp: comp, emit: emit,
+		streams:       liveness.NewTable(m.opt.LeaseTTL),
+		tuplesC:       m.met.queryTuples(p.QueryID),
 		shards:        shards,
 		shardLate:     make([]uint64, len(shards)),
 		shardOverflow: make([]uint64, len(shards)),
 		pending:       make(map[int64]*winState),
 		routeDrops:    make(map[liveness.Key]uint64),
+		collectedTo:   math.MinInt64,
+	}
+	if p.Replay > 0 {
+		q.replayHold = true
+		q.replayDeadline = m.opt.Clock().UnixNano() + 2*int64(m.opt.LeaseTTL)
 	}
 	m.queries[p.QueryID] = q
 	return q, nil
@@ -200,7 +237,8 @@ func (m *Merger) installedLocked(id uint64) *mergedQuery {
 
 // HandleBatch routes a whole host batch across the query's shards and
 // folds the resulting manifest, exactly as a host-side router followed
-// by HandleManifest would.
+// by HandleManifest would. A batch for a query not installed is dropped:
+// batches race with query teardown by design.
 func (m *Merger) HandleBatch(b transport.TupleBatch) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -209,9 +247,12 @@ func (m *Merger) HandleBatch(b transport.TupleBatch) {
 		return
 	}
 	key := liveness.Key{Host: b.HostID, TypeIdx: b.TypeIdx}
-	cum := q.routeDrops[key]
-	man := Route(b, q.shards, &cum)
-	q.routeDrops[key] = cum
+	prev := q.routeDrops[key]
+	cum := prev
+	man := route(b, q.shards, &cum, q.shardLate, q.shardOverflow)
+	if cum != prev {
+		q.routeDrops[key] = cum
+	}
 	m.foldLocked(q, man)
 }
 
@@ -229,14 +270,13 @@ func (m *Merger) HandleManifest(man transport.BatchManifest) {
 	m.foldLocked(q, man)
 }
 
-// foldLocked applies the single-node engine's event-time semantics to a
-// manifest — lease renewal, counter folding, per-stream late-drop
-// attribution, watermark advancement on the max in-span event time, and
-// window closing as the watermark passes — so Engine and Merger agree
-// batch for batch, not just at ticks. A manifest whose tuples were all
-// shard-side filtered or late still advances its stream's clock;
-// skipping it would stall the watermark for every stream until this
-// one's lease expired.
+// foldLocked applies a manifest's event-time semantics — lease renewal,
+// counter folding, per-stream late-drop attribution, watermark
+// advancement on the max in-span event time, and window closing as the
+// watermark passes — so windows close batch by batch, not just at ticks.
+// A manifest whose tuples were all shard-side filtered or late still
+// advances its stream's clock; skipping it would stall the watermark for
+// every stream until this one's lease expired.
 func (m *Merger) foldLocked(q *mergedQuery, man transport.BatchManifest) {
 	for i := 0; i < len(q.shards) && i < len(man.ShardLate); i++ {
 		q.shardLate[i] = max(q.shardLate[i], man.ShardLate[i])
@@ -245,23 +285,69 @@ func (m *Merger) foldLocked(q *mergedQuery, man transport.BatchManifest) {
 		q.shardOverflow[i] = max(q.shardOverflow[i], man.ShardOverflow[i])
 	}
 	nowN := m.opt.Clock().UnixNano()
-	q.observe(&man, nowN, m.met)
+	m.observe(q, &man, nowN)
 	// A manifest that releases the replay hold (its ReplayDone marker
 	// settled the last replaying stream) closes windows even when it
 	// carried no tuples of its own.
 	holding, released := q.holding(nowN)
 	if !holding && (man.HasTs || released) {
 		if wm, ok := q.streams.Watermark(); ok {
+			if m.met != nil {
+				m.met.wmLag.Set(nowN - wm)
+			}
 			m.closeLocked(q, wm-int64(q.plan.Lateness))
 		}
 	}
 }
 
-// Tick closes windows by wall clock, with the single-node engine's
-// sequence: expire leases before the hold check (evicting a replaying
-// stream can settle the replay), skip every close while the hold is
-// open, and when expiry evicted a stream — or this tick released the
-// hold — close at the watermark recomputed over the survivors first.
+// observe folds one batch's stream facts from its manifest into the
+// query and counts its tuples as ingested. Every batch, counter-only
+// heartbeats included, renews the stream's lease (a batch from an
+// evicted stream re-admits it); counters are cumulative, so max() keeps
+// a delayed or duplicated batch (chaos, retransmits) from regressing
+// them; the batch's window-late drops are attributed to the stream, and
+// its max in-span event time advances the stream's clock.
+func (m *Merger) observe(q *mergedQuery, man *transport.BatchManifest, nowN int64) {
+	if m.met != nil {
+		m.met.batches.Inc()
+		m.met.tuples.Add(man.RawTuples)
+	}
+	if q.tuplesC != nil {
+		q.tuplesC.Add(man.RawTuples)
+	}
+	st, _ := q.streams.Touch(liveness.Key{Host: man.HostID, TypeIdx: man.TypeIdx}, nowN)
+	st.Matched = max(st.Matched, man.MatchedTotal)
+	st.Sampled = max(st.Sampled, man.SampledTotal)
+	st.Drops = max(st.Drops, man.QueueDrops)
+	st.FoldGovernor(man.EffRate, man.BudgetShed, man.CPUNs, man.ShipBytes)
+	q.streams.FoldReplay(st, man.ReplayEpoch, man.ReplayDone)
+	st.LateDrops += man.LateDelta
+	if man.HasTs {
+		st.ObserveTs(man.MaxTs)
+	}
+}
+
+// holding reports whether the replay hold is still open at leaseNow,
+// releasing it when replay has settled or the deadline passed; released
+// is true on the call that released it.
+func (q *mergedQuery) holding(leaseNow int64) (holding, released bool) {
+	if q.replayHold && (q.streams.ReplaySettled() || leaseNow >= q.replayDeadline) {
+		q.replayHold = false
+		return false, true
+	}
+	return q.replayHold, false
+}
+
+// Tick closes windows by wall clock so idle streams still emit: every
+// window ending at or before nowNanos−lateness is emitted. Leases expire
+// first, on the merger's own clock (which may differ from nowNanos in
+// virtual-time setups), and before the hold check: evicting a replaying
+// stream can settle the replay. Every close is skipped while the hold is
+// open; when expiry evicted a stream — or this tick released the hold —
+// windows close at the watermark recomputed over the survivors first,
+// so windows a dead host was holding open close now instead of waiting
+// out the force bound. Call it periodically (the query server runs a
+// ticker).
 func (m *Merger) Tick(nowNanos int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -291,7 +377,16 @@ func (m *Merger) Tick(nowNanos int64) {
 // flush, a flushed window can never receive more tuples from a shard
 // (they would be late there too). The collect responses also refresh the
 // cached drop counters the emitted windows report.
+//
+// A bound at or below one already collected closes nothing: the shards
+// count tuples for windows ending there as late and never reopen them.
+// Such a barrier is skipped; most batches leave the watermark where it
+// was.
 func (m *Merger) closeLocked(q *mergedQuery, bound int64) {
+	if bound <= q.collectedTo {
+		return
+	}
+	q.collectedTo = bound
 	for i, h := range q.shards {
 		ps, err := h.Collect(&q.plan, bound)
 		if err != nil {
@@ -322,20 +417,30 @@ func (m *Merger) mergeLocked(q *mergedQuery, windows []Partial) {
 // flushLocked renders and emits pending windows ending at or before
 // bound, in start order.
 func (m *Merger) flushLocked(q *mergedQuery, bound int64) {
-	var starts []int64
+	if len(q.pending) == 0 {
+		return
+	}
+	starts := q.flushStarts[:0]
 	winSize := int64(q.plan.Window)
 	for start := range q.pending {
 		if start+winSize <= bound {
 			starts = append(starts, start)
 		}
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	slices.Sort(starts)
 	for _, start := range starts {
 		m.emitLocked(q, start, q.pending[start])
 		delete(q.pending, start)
 	}
+	q.flushStarts = starts
 }
 
+// emitLocked is the only place a window is rendered and emitted. It
+// stamps the rendered rows with the deployment-level accounting — host
+// and late drop totals, the Degraded marker (any expired stream lease,
+// or a lost shard), budget shedding and the full per-stream table, so
+// the consumer knows exactly whose data is missing — and counts the
+// window in the query's stats and metrics.
 func (m *Merger) emitLocked(q *mergedQuery, start int64, ws *winState) {
 	var t0 time.Time
 	if m.met != nil {
@@ -347,8 +452,34 @@ func (m *Merger) emitLocked(q *mergedQuery, start int64, ws *winState) {
 	for i := range q.shards {
 		lateDrops += q.shardLate[i] + q.shardOverflow[i]
 	}
+	hostDrops := q.streams.HostDrops()
+	rw.Stats.HostDrops = hostDrops
+	rw.Stats.LateDrops = lateDrops
+	rw.Degraded = q.streams.AnyEvicted() || q.degraded
+	rw.BudgetShed = q.streams.AnyShed()
+	rw.Streams = q.streams.Snapshot()
 	q.stats.TuplesIn += ws.tuples
-	q.finish(rw, lateDrops, q.degraded, m.met, t0)
+	q.stats.Windows++
+	q.stats.Rows += uint64(len(rw.Rows))
+	q.stats.HostDrops = hostDrops
+	q.stats.LateDrops = lateDrops
+	if rw.Degraded {
+		q.stats.DegradedWindows++
+	}
+	if rw.BudgetShed {
+		q.stats.ShedWindows++
+	}
+	q.emit(rw)
+	if m.met != nil {
+		m.met.windows.Inc()
+		if rw.Degraded {
+			m.met.degraded.Inc()
+		}
+		if rw.BudgetShed {
+			m.met.shed.Inc()
+		}
+		m.met.closeNs.Observe(float64(time.Since(t0)))
+	}
 }
 
 // StopQuery drains every shard, merges and emits the remainder, and
@@ -419,7 +550,7 @@ func (m *Merger) ActiveQueries() []uint64 {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -451,18 +582,26 @@ func (m *Merger) EvictedStreams() uint32 {
 // shard; the manifest's QueueDrops carries the host's own drops plus
 // those routing failures.
 func Route(b transport.TupleBatch, shards []ShardHandle, cumDrops *uint64) transport.BatchManifest {
+	return route(b, shards, cumDrops, make([]uint64, len(shards)), make([]uint64, len(shards)))
+}
+
+// route is Route max-folding the acks' per-shard late and overflow
+// counters into the caller's late and overflow slices, one entry per
+// shard; the manifest carries those slices.
+func route(b transport.TupleBatch, shards []ShardHandle, cumDrops *uint64, late, overflow []uint64) transport.BatchManifest {
 	m := manifestOf(b)
-	m.ShardLate = make([]uint64, len(shards))
-	m.ShardOverflow = make([]uint64, len(shards))
-	n := uint64(len(shards))
-	sub := make([][]transport.Tuple, len(shards))
-	for _, t := range b.Tuples {
-		i := int(t.RequestID % n)
-		// Sub-batches alias the caller's pooled tuple memory only within
-		// this call: every Apply below completes before Route returns, and
-		// shards copy whatever they keep.
-		//scrub:allowretain(synchronous fan-out; every Apply completes before Route returns)
-		sub[i] = append(sub[i], t)
+	m.ShardLate, m.ShardOverflow = late, overflow
+	// Sub-batches alias the caller's pooled tuple memory only within this
+	// call: every Apply below completes before Route returns, and shards
+	// copy whatever they keep. A lone shard takes the batch's own tuples,
+	// uncopied.
+	sub := [][]transport.Tuple{b.Tuples}
+	if n := uint64(len(shards)); n > 1 {
+		sub = make([][]transport.Tuple, n)
+		for _, t := range b.Tuples {
+			//scrub:allowretain(synchronous fan-out; every Apply completes before Route returns)
+			sub[t.RequestID%n] = append(sub[t.RequestID%n], t)
+		}
 	}
 	for i, tuples := range sub {
 		if len(tuples) == 0 {
@@ -484,9 +623,29 @@ func Route(b transport.TupleBatch, shards []ShardHandle, cumDrops *uint64) trans
 		}
 		m.HasTs = m.HasTs || ack.HasTs
 		m.LateDelta += ack.LateDelta
-		m.ShardLate[i] = ack.Late
-		m.ShardOverflow[i] = ack.Overflow
+		late[i] = max(late[i], ack.Late)
+		overflow[i] = max(overflow[i], ack.Overflow)
 	}
 	m.QueueDrops = b.QueueDrops + *cumDrops
 	return m
+}
+
+// manifestOf carries a host batch's identity and cumulative counters into
+// manifest form.
+func manifestOf(b transport.TupleBatch) transport.BatchManifest {
+	return transport.BatchManifest{
+		QueryID:      b.QueryID,
+		HostID:       b.HostID,
+		TypeIdx:      b.TypeIdx,
+		RawTuples:    uint64(len(b.Tuples)),
+		MatchedTotal: b.MatchedTotal,
+		SampledTotal: b.SampledTotal,
+		QueueDrops:   b.QueueDrops,
+		EffRate:      b.EffRate,
+		BudgetShed:   b.BudgetShed,
+		CPUNs:        b.CPUNs,
+		ShipBytes:    b.ShipBytes,
+		ReplayEpoch:  b.ReplayEpoch,
+		ReplayDone:   b.ReplayDone,
+	}
 }

@@ -13,13 +13,13 @@ import (
 	"scrub/internal/window"
 )
 
-// This file is Engine's driven surface — the shard side of a sharded
-// ScrubCentral. A driven query never closes a window on its own: the
-// Merger's close barriers pull closed windows out as Partials, by pointer
-// in process (LocalShard) or serialized with EncodePartial and decoded
-// under the query's plan with DecodePartial across processes
-// (internal/coord), so Engine, ShardedEngine and the shard fabric stay
-// bit-identical under the differential oracle.
+// This file is Engine's driven surface — the shard side of every
+// ScrubCentral, the single node included. A driven query never closes a
+// window on its own: the Merger's close barriers pull closed windows out
+// as Partials, by pointer in process (LocalShard) or serialized with
+// EncodePartial and decoded under the query's plan with DecodePartial
+// across processes (internal/coord), so Engine, ShardedEngine and the
+// shard fabric stay bit-identical under the differential oracle.
 
 // shardLateness effectively disables event-time closing inside shards:
 // the merger is the only component that closes windows, at barriers that
@@ -43,19 +43,36 @@ type Partials struct {
 // lateness, so the engine never closes a window on its own.
 func (e *Engine) StartDriven(p Plan) error {
 	p.Lateness = shardLateness
-	return e.StartQuery(p, func(transport.ResultWindow) {
-		// Unreachable by construction (driven queries close only through
-		// CollectDriven and DrainDriven); tolerate rather than panic.
+	comp, err := p.prepare()
+	if err != nil {
+		return err
+	}
+	win, err := window.NewSlidingManager(p.Window, p.Slide, p.Lateness, func(start, end int64) *winState {
+		return newWinState()
 	})
+	if err != nil {
+		return err
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if _, dup := e.queries[p.QueryID]; dup {
+		return fmt.Errorf("central: query %d already active", p.QueryID)
+	}
+	qs := &queryState{plan: p, comp: comp, win: win}
+	qs.side = sideRow{c: comp, types: qs.plan.Types}
+	qs.join = joinRow{c: comp, types: qs.plan.Types}
+	qs.keyVals = make([]event.Value, len(comp.groupEvals))
+	e.queries[p.QueryID] = qs
+	return nil
 }
 
-// ApplyDriven folds a sub-batch into a driven query: the same span
-// filter, window routing and late accounting as HandleBatch, but with the
-// stream-lease, watermark and ingest accounting left out — those live at
-// the Merger, which is the only component that sees whole batches. The
-// ack (Seq aside, which only the wire sets) is what the shard reports;
-// Route folds the per-shard acks (OR HasTs, max MaxTs, sum LateDelta)
-// into the batch's manifest. The second result repeats ack.Known.
+// ApplyDriven folds a sub-batch into a driven query: span filter, window
+// routing, join, accumulation and late accounting, with the stream-lease,
+// watermark and ingest accounting left out — those live at the Merger,
+// which is the only component that sees whole batches. The ack (Seq
+// aside, which only the wire sets) is what the shard reports; Route
+// folds the per-shard acks (OR HasTs, max MaxTs, sum LateDelta) into the
+// batch's manifest. The second result repeats ack.Known.
 func (e *Engine) ApplyDriven(b transport.TupleBatch) (transport.ShardBatchAck, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -75,7 +92,7 @@ func (e *Engine) CollectDriven(id uint64, bound int64) Partials {
 	if !ok {
 		return Partials{}
 	}
-	return Partials{Found: true, Windows: qs.win.ForceBefore(bound), Late: qs.win.LateDrops(), Overflow: qs.overflow}
+	return e.handOut(qs, qs.win.ForceBefore(bound))
 }
 
 // DrainDriven removes a driven query, returning its remaining windows.
@@ -87,8 +104,42 @@ func (e *Engine) DrainDriven(id uint64) Partials {
 		return Partials{}
 	}
 	delete(e.queries, id)
-	e.met.dropQuery(id)
-	return Partials{Found: true, Windows: qs.win.Flush(), Late: qs.win.LateDrops(), Overflow: qs.overflow}
+	return e.handOut(qs, qs.win.Flush())
+}
+
+// handOut answers a collect or drain with closed windows, whose join
+// tuples stop counting as pending: they can no longer meet a partner.
+func (e *Engine) handOut(qs *queryState, closed []Partial) Partials {
+	if e.joinPending != nil {
+		for _, w := range closed {
+			e.joinPending.Add(-int64(w.State.pendingCount))
+		}
+	}
+	return Partials{Found: true, Windows: closed, Late: qs.win.LateDrops(), Overflow: qs.overflow}
+}
+
+// DrivenTuplesIn reports how many tuples a driven query absorbed; false
+// when the engine does not run it in driven mode.
+func (e *Engine) DrivenTuplesIn(id uint64) (uint64, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	qs, ok := e.queries[id]
+	if !ok {
+		return 0, false
+	}
+	return qs.tuplesIn, true
+}
+
+// DrivenQueries returns the ids of the driven queries, ascending.
+func (e *Engine) DrivenQueries() []uint64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := make([]uint64, 0, len(e.queries))
+	for id := range e.queries {
+		out = append(out, id)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 // LocalShard is the in-process ShardHandle: it drives an Engine directly
@@ -113,10 +164,7 @@ func (s LocalShard) Collect(p *Plan, bound int64) (Partials, error) {
 func (s LocalShard) Drain(p *Plan) (Partials, error) { return s.Engine.DrainDriven(p.QueryID), nil }
 
 // TuplesIn implements ShardHandle.
-func (s LocalShard) TuplesIn(id uint64) (uint64, bool) {
-	st, ok := s.Engine.Stats(id)
-	return st.TuplesIn, ok
-}
+func (s LocalShard) TuplesIn(id uint64) (uint64, bool) { return s.Engine.DrivenTuplesIn(id) }
 
 // --- partial window state codec ---
 //

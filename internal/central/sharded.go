@@ -25,7 +25,7 @@ var (
 
 // ShardedEngine is a multi-shard ScrubCentral in one process: a Merger
 // over N driven Engines reached through LocalShard handles. Every query
-// runs on all N shards.
+// runs on all N shards. With one shard it is the same machine as Engine.
 type ShardedEngine struct {
 	*Merger
 	shards []ShardHandle
@@ -43,13 +43,11 @@ func NewShardedEngineWith(n int, opt Options) (*ShardedEngine, error) {
 		return nil, fmt.Errorf("central: shard count must be >= 1, got %d", n)
 	}
 	se := &ShardedEngine{Merger: NewMerger(opt)}
-	// Shards must not register series of their own — whole-batch ingest
-	// accounting lives at the merger, and shard-level registration would
-	// double-count it under the same names.
-	shardOpt := opt
-	shardOpt.Metrics = nil
+	// Shards count only what they hold, join-pending tuples, into the
+	// merger's gauge; per-batch and per-window accounting lives at the
+	// merger, the only component that sees whole batches.
 	for i := 0; i < n; i++ {
-		se.shards = append(se.shards, LocalShard{Engine: NewEngineWith(shardOpt)})
+		se.shards = append(se.shards, LocalShard{Engine: newDrivenEngine(opt.Metrics)})
 	}
 	return se, nil
 }

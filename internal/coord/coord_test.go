@@ -433,6 +433,46 @@ func TestMetricsMembershipSeries(t *testing.T) {
 	}
 }
 
+// TestCoordinatorWatermarkLagLive: a coordinator folding a routed
+// batch's manifest publishes wall clock minus the query watermark, the
+// same series the in-process engines feed.
+func TestCoordinatorWatermarkLagLive(t *testing.T) {
+	reg := obs.NewRegistry()
+	vc := &vclock{}
+	c := NewCoordinator(Options{Clock: vc.now, Metrics: reg})
+	defer c.Close()
+	a1, b1 := transport.Pipe()
+	defer b1.Close()
+	go NewShardNode(testCatalog()).ServeConn(b1)
+	c.AddShardConn(a1, "s0")
+
+	const src = `select count(*) from ev window 10s`
+	q, err := ql.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qp, err := ql.Analyze(q, testCatalog())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := central.FromPlan(qp, 1, 0, 0, 1, 1)
+	plan.Text = src
+	if err := c.StartQuery(plan, (&collector{}).emit); err != nil {
+		t.Fatal(err)
+	}
+	vc.nanos = 9 * sec
+	c.HandleManifest(transport.BatchManifest{QueryID: 1, HostID: "h1", RawTuples: 1, HasTs: true, MaxTs: 2 * sec})
+	var lag float64
+	for _, s := range reg.Snapshot() {
+		if s.Name == "scrub_central_watermark_lag_ns" {
+			lag = s.Value
+		}
+	}
+	if lag != float64(7*sec) {
+		t.Errorf("scrub_central_watermark_lag_ns = %v, want %v (clock 9s, watermark 2s)", lag, 7*sec)
+	}
+}
+
 // TestStartQueryTwoPhase drives the install interleaving by hand: the
 // test plays shard 1 and, while the coordinator's StartQuery is blocked
 // on its ShardStart RPC, probes the half-installed query. The entry must
@@ -491,8 +531,8 @@ func TestStartQueryTwoPhase(t *testing.T) {
 		{RequestID: 0, TsNanos: sec, Values: []event.Value{event.Float(1)}},
 		{RequestID: 2, TsNanos: 2 * sec, Values: []event.Value{event.Float(1)}},
 	}})
-	if st, _ := node.Engine().Stats(1); st.TuplesIn != 0 {
-		t.Errorf("shard 0 absorbed %d tuples from a batch that raced the install", st.TuplesIn)
+	if in, _ := node.Engine().DrivenTuplesIn(1); in != 0 {
+		t.Errorf("shard 0 absorbed %d tuples from a batch that raced the install", in)
 	}
 	if _, ok := c.Stats(1); ok {
 		t.Error("Stats sees a query whose install has not finished")
@@ -519,7 +559,7 @@ func TestStartQueryTwoPhase(t *testing.T) {
 	}
 	// The dropped manifest must not have left stream state behind: shard
 	// 0 no longer runs the query either (rollback stopped it).
-	if qs := node.Engine().ActiveQueries(); len(qs) != 0 {
+	if qs := node.Engine().DrivenQueries(); len(qs) != 0 {
 		t.Errorf("shard 0 still runs %v after rollback", qs)
 	}
 
@@ -600,7 +640,7 @@ func TestStartQueryRollbackManifestRace(t *testing.T) {
 	if ids := c.ActiveQueries(); len(ids) != 0 {
 		t.Errorf("queries leaked through rollback: %v", ids)
 	}
-	if qs := good.Engine().ActiveQueries(); len(qs) != 0 {
+	if qs := good.Engine().DrivenQueries(); len(qs) != 0 {
 		t.Errorf("good shard still runs %v after rollbacks", qs)
 	}
 }
@@ -805,7 +845,7 @@ func TestLeaderFailover(t *testing.T) {
 			t.Errorf("shard %d fence = %d, want 2", i, f)
 		}
 	}
-	if qs := tt.shards[0].node.Engine().ActiveQueries(); len(qs) != 1 || qs[0] != 1 {
+	if qs := tt.shards[0].node.Engine().DrivenQueries(); len(qs) != 1 || qs[0] != 1 {
 		t.Errorf("shard 0 active queries after takeover = %v, want [1] (orphan stopped)", qs)
 	}
 	if _, _, err := sb.Promote(nil); err == nil {

@@ -102,7 +102,7 @@ func (n *ShardNode) ServeConn(c *transport.Conn) {
 			ack := transport.ShardFenceAck{Seq: t.Seq, Ok: n.admitFence(t.Fence)}
 			ack.Fence = n.fence.Load()
 			if ack.Ok {
-				ack.Queries = n.eng.ActiveQueries()
+				ack.Queries = n.eng.DrivenQueries()
 			}
 			resp = ack
 		case transport.ShardStatsReq:
@@ -133,7 +133,7 @@ func (n *ShardNode) handleStart(t transport.ShardStart) transport.ShardAck {
 	if !n.admitFence(t.Fence) {
 		return transport.ShardAck{Seq: t.Seq, Err: "stale fencing epoch"}
 	}
-	if _, running := n.eng.Stats(t.QueryID); running {
+	if _, running := n.eng.DrivenTuplesIn(t.QueryID); running {
 		return transport.ShardAck{Seq: t.Seq}
 	}
 	cp, err := PlanFromShardStart(t, n.cat)
@@ -147,21 +147,17 @@ func (n *ShardNode) handleStart(t transport.ShardStart) transport.ShardAck {
 }
 
 func (n *ShardNode) handleStats(t transport.ShardStatsReq) transport.ShardStatsResp {
-	resp := transport.ShardStatsResp{
-		Seq:           t.Seq,
-		ActiveQueries: uint32(len(n.eng.ActiveQueries())),
-	}
+	ids := n.eng.DrivenQueries()
+	resp := transport.ShardStatsResp{Seq: t.Seq, ActiveQueries: uint32(len(ids))}
 	if t.QueryID != 0 {
-		st, found := n.eng.Stats(t.QueryID)
-		resp.Found = found
-		resp.TuplesIn = st.TuplesIn
+		resp.TuplesIn, resp.Found = n.eng.DrivenTuplesIn(t.QueryID)
 	} else {
 		// QueryID 0 asks for the node view (coordinator Status rows):
 		// tuples across every active query.
 		resp.Found = true
-		for _, id := range n.eng.ActiveQueries() {
-			if st, ok := n.eng.Stats(id); ok {
-				resp.TuplesIn += st.TuplesIn
+		for _, id := range ids {
+			if in, ok := n.eng.DrivenTuplesIn(id); ok {
+				resp.TuplesIn += in
 			}
 		}
 	}

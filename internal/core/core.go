@@ -44,8 +44,8 @@ type LocalConfig struct {
 	// remote facility whose work never lands on application hosts.
 	AgentSink host.Sink
 	// CentralShards runs ScrubCentral as a sharded cluster with this many
-	// shards (the paper's "small ScrubCentral cluster"). 0 or 1 uses the
-	// single-node engine.
+	// shards (the paper's "small ScrubCentral cluster"). 0 means 1: the
+	// single node is the one-shard case.
 	CentralShards int
 	// Central tunes the engine's failure-domain behavior (stream lease
 	// TTL, lease clock). Zero value is production defaults.
@@ -74,13 +74,9 @@ func NewLocalCluster(cfg LocalConfig) (*LocalCluster, error) {
 	if len(cfg.Hosts) == 0 {
 		return nil, fmt.Errorf("core: no hosts")
 	}
-	var engine central.Executor = central.NewEngineWith(cfg.Central)
-	if cfg.CentralShards > 1 {
-		se, err := central.NewShardedEngineWith(cfg.CentralShards, cfg.Central)
-		if err != nil {
-			return nil, err
-		}
-		engine = se
+	engine, err := central.NewShardedEngineWith(max(1, cfg.CentralShards), cfg.Central)
+	if err != nil {
+		return nil, err
 	}
 	lc := &LocalCluster{
 		Catalog:  cfg.Catalog,

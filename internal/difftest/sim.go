@@ -112,9 +112,13 @@ func (r hostRow) Field(typ, name string) event.Value {
 
 func (hostRow) Agg(int) event.Value { return event.Invalid }
 
+// collector records an arm's emitted windows and, when step is set, the
+// harness step (delivery or tick round) that emitted each one.
 type collector struct {
-	name string
-	wins []transport.ResultWindow
+	name  string
+	step  *int
+	wins  []transport.ResultWindow
+	steps []int
 }
 
 func (c *collector) emit(rw transport.ResultWindow) {
@@ -123,6 +127,33 @@ func (c *collector) emit(rw transport.ResultWindow) {
 			c.name, len(c.wins), rw.WindowStart, rw.WindowEnd, len(rw.Rows), rw.Stats)
 	}
 	c.wins = append(c.wins, rw)
+	if c.step != nil {
+		c.steps = append(c.steps, *c.step)
+	}
+}
+
+// ascendingStarts checks that an arm never emits a window start twice or
+// out of order.
+func (c *collector) ascendingStarts() error {
+	for i := 1; i < len(c.wins); i++ {
+		if c.wins[i].WindowStart <= c.wins[i-1].WindowStart {
+			return fmt.Errorf("%s emitted window start %d after %d (windows %d, %d)",
+				c.name, c.wins[i].WindowStart, c.wins[i-1].WindowStart, i-1, i)
+		}
+	}
+	return nil
+}
+
+// sameSteps checks that two arms emitted each window at the same harness
+// step, so close timing is pinned and not just window contents.
+func sameSteps(a, b *collector) error {
+	for i := range a.steps {
+		if i < len(b.steps) && a.steps[i] != b.steps[i] {
+			return fmt.Errorf("window %d [%d,%d) emitted at step %d by %s, step %d by %s",
+				i, a.wins[i].WindowStart, a.wins[i].WindowEnd, a.steps[i], a.name, b.steps[i], b.name)
+		}
+	}
+	return nil
 }
 
 // debugTrace dumps per-delivery and per-emission details while replaying
@@ -369,7 +400,10 @@ func Run(cfg Config) (*Outcome, error) {
 	if err != nil {
 		return out, err
 	}
-	cEng, cSh := collector{name: "eng"}, collector{name: "shard"}
+	// step counts harness steps — each delivery, each tick round and the
+	// stop — so the arms' emit steps can be compared.
+	step := 0
+	cEng, cSh := collector{name: "eng", step: &step}, collector{name: "shard", step: &step}
 	if err := eng.StartQuery(plan, cEng.emit); err != nil {
 		return out, err
 	}
@@ -390,7 +424,7 @@ func Run(cfg Config) (*Outcome, error) {
 	defer topo.close()
 	planMP := plan
 	planMP.Text = src
-	cMP := collector{name: "multi"}
+	cMP := collector{name: "multi", step: &step}
 	if err := topo.start(planMP, cMP.emit); err != nil {
 		return out, err
 	}
@@ -403,7 +437,7 @@ func Run(cfg Config) (*Outcome, error) {
 	defer fo.close()
 	planFO := plan
 	planFO.Text = src
-	cFO := collector{name: "failover"}
+	cFO := collector{name: "failover", step: &step}
 	if err := fo.start(planFO, cFO.emit); err != nil {
 		return out, err
 	}
@@ -464,6 +498,7 @@ func Run(cfg Config) (*Outcome, error) {
 				return out, err
 			}
 		}
+		step++
 		eng.HandleBatch(transport.CloneBatch(b))
 		sh.HandleBatch(transport.CloneBatch(b))
 		if err := topo.router.SendBatch(transport.CloneBatch(b)); err != nil {
@@ -484,6 +519,7 @@ func Run(cfg Config) (*Outcome, error) {
 				}
 				now = wm
 			}
+			step++
 			eng.Tick(now)
 			sh.Tick(now)
 			topo.coord.Tick(now)
@@ -493,15 +529,18 @@ func Run(cfg Config) (*Outcome, error) {
 	if cfg.Mode == modeChaos {
 		// Let the dead host's lease expire and tick the eviction through.
 		vc.nanos += int64(ttl) + int64(5*time.Second)
+		step++
 		eng.Tick(vc.nanos)
 		sh.Tick(vc.nanos)
 		topo.coord.Tick(vc.nanos)
 		fo.coord.Tick(vc.nanos)
+		step++
 		eng.Tick(vc.nanos)
 		sh.Tick(vc.nanos)
 		topo.coord.Tick(vc.nanos)
 		fo.coord.Tick(vc.nanos)
 	}
+	step++
 	engStats, _ := eng.StopQuery(plan.QueryID)
 	shStats, _ := sh.StopQuery(plan.QueryID)
 	mpStats, _ := topo.coord.StopQuery(plan.QueryID)
@@ -513,6 +552,14 @@ func Run(cfg Config) (*Outcome, error) {
 	ew, sw := cEng.wins, cSh.wins
 	out.Windows = len(ew)
 
+	// --- no arm emits a window twice or out of order ---
+
+	for _, c := range []*collector{&cEng, &cSh, &cMP, &cFO} {
+		if err := c.ascendingStarts(); err != nil {
+			return out, fmt.Errorf("%v\n  query: %s", err, src)
+		}
+	}
+
 	// --- contract D: Engine and ShardedEngine agree on everything ---
 
 	if err := compareWindowLists(ew, sw, cfg.Shards); err != nil {
@@ -520,6 +567,9 @@ func Run(cfg Config) (*Outcome, error) {
 	}
 	if err := compareStats(engStats, shStats); err != nil {
 		return out, fmt.Errorf("cross-engine stats divergence (Engine vs %d-shard): %v\n  query: %s", cfg.Shards, err, src)
+	}
+	if err := sameSteps(&cEng, &cSh); err != nil {
+		return out, fmt.Errorf("cross-engine close timing (Engine vs %d-shard): %v\n  query: %s", cfg.Shards, err, src)
 	}
 
 	// --- contract D': the multi-process topology agrees too ---
@@ -529,6 +579,9 @@ func Run(cfg Config) (*Outcome, error) {
 	}
 	if err := compareStats(engStats, mpStats); err != nil {
 		return out, fmt.Errorf("cross-engine stats divergence (Engine vs %d-process topology): %v\n  query: %s", procs, err, src)
+	}
+	if err := sameSteps(&cEng, &cMP); err != nil {
+		return out, fmt.Errorf("cross-engine close timing (Engine vs %d-process topology): %v\n  query: %s", procs, err, src)
 	}
 
 	// --- contract D'': the failover topology survives its leader kill ---
